@@ -48,6 +48,11 @@ UP = "up"
 SUSPECT = "suspect"
 DOWN = "down"
 
+#: Lowest adaptive hedge threshold, in seconds.  Healthy shard queries
+#: take well under a millisecond, so ``multiplier × EWMA`` alone is below
+#: ordinary scheduler jitter and a loaded host would hedge healthy reads.
+MIN_ADAPTIVE_HEDGE_SECONDS = 0.05
+
 
 def resolve_replication_factor(requested: int | None, num_nodes: int) -> int:
     """The replication factor a cluster should run with.
@@ -320,6 +325,8 @@ class HedgePolicy:
     estimates don't hedge everything.  ``threshold_seconds`` overrides
     the adaptive threshold with a fixed one (useful in tests and for
     strict tail-latency SLOs).  ``enabled=False`` turns hedging off.
+    The adaptive threshold never drops below
+    :data:`MIN_ADAPTIVE_HEDGE_SECONDS`.
     """
 
     def __init__(
@@ -353,7 +360,7 @@ class HedgePolicy:
             return self.threshold_seconds
         if health.ewma_latency is None or health.latency_samples < self.min_samples:
             return None
-        return self.latency_multiplier * health.ewma_latency
+        return max(MIN_ADAPTIVE_HEDGE_SECONDS, self.latency_multiplier * health.ewma_latency)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.enabled:

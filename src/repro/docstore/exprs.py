@@ -1,9 +1,16 @@
-"""Aggregation-expression evaluation for the document store.
+"""Aggregation-expression compilation for the document store.
 
 Implements the operator subset PolyFrame's MongoDB rewrite rules emit
 (see the paper's Appendix C): field paths (``"$attr"``), pipeline variables
 (``"$$var"``), comparison / logical / arithmetic operators, string and type
 conversion operators.
+
+Each expression is compiled once per stage into nested closures
+(``compile_expr(expr)(doc)``): field paths become bound getters, operator
+dispatch happens at compile time, and operators over constants are folded.
+A malformed or unknown operator compiles to a closure that raises when it
+is evaluated, so a bad pipeline over an empty collection still returns an
+empty result.
 
 Absent fields evaluate to the MISSING sentinel.  Comparisons use a total
 BSON-like order in which ``missing < null < booleans < numbers < strings``
@@ -14,165 +21,397 @@ PolyFrame's expression-13 rewrite relies on.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+import operator
+from typing import Any, Callable, Mapping
 
 from repro.errors import ExecutionError
-from repro.storage.keys import SENTINEL_MISSING, index_key
+from repro.storage.keys import SAME_RANK_TYPES, SENTINEL_MISSING, index_key
+
+#: A compiled expression: document in, value out.
+Compiled = Callable[[Any], Any]
+
+_NOT_CONST = object()
+#: What :func:`constant_value` returns for a document-dependent expression.
+NOT_CONSTANT = _NOT_CONST
 
 
 def get_path(document: Mapping[str, Any], path: str) -> Any:
     """Resolve a (possibly dotted) field path; absent yields MISSING."""
-    current: Any = document
-    for part in path.split("."):
-        if not isinstance(current, Mapping) or part not in current:
+    return _walk(document, path.split("."))
+
+
+def _walk(current: Any, parts: list[str] | tuple[str, ...]) -> Any:
+    for part in parts:
+        # Documents are plain dicts; the Mapping check is the slow path.
+        if type(current) is dict:
+            current = current.get(part, SENTINEL_MISSING)
+        elif isinstance(current, Mapping) and part in current:
+            current = current[part]
+        else:
             return SENTINEL_MISSING
-        current = current[part]
     return current
 
 
-class ExprEvaluator:
-    """Evaluates aggregation expressions against one document."""
+def compile_expr(expr: Any, scope: Mapping[str, Any] | None = None) -> Compiled:
+    """Compile an aggregation expression into a ``doc -> value`` closure.
 
-    def __init__(self, variables: Mapping[str, Any] | None = None) -> None:
-        self._variables = dict(variables or {})
-
-    def with_variables(self, variables: Mapping[str, Any]) -> "ExprEvaluator":
-        merged = dict(self._variables)
-        merged.update(variables)
-        return ExprEvaluator(merged)
-
-    # ------------------------------------------------------------------
-    def evaluate(self, expr: Any, doc: Mapping[str, Any]) -> Any:
-        if isinstance(expr, str):
-            if expr.startswith("$$"):
-                name = expr[2:].split(".", 1)[0]
-                if name not in self._variables:
-                    raise ExecutionError(f"undefined pipeline variable {expr!r}")
-                value = self._variables[name]
-                rest = expr[2 + len(name):]
-                if rest.startswith("."):
-                    return get_path(value, rest[1:]) if isinstance(value, Mapping) else SENTINEL_MISSING
-                return value
-            if expr.startswith("$"):
-                return get_path(doc, expr[1:])
-            return expr
-        if isinstance(expr, dict):
-            if len(expr) == 1:
-                op, operand = next(iter(expr.items()))
-                if op.startswith("$"):
-                    return self._operator(op, operand, doc)
-            # A document literal with computed members.
-            return {key: self.evaluate(value, doc) for key, value in expr.items()}
-        if isinstance(expr, list):
-            return [self.evaluate(item, doc) for item in expr]
-        return expr  # numeric / boolean / None literal
-
-    # ------------------------------------------------------------------
-    def _operator(self, op: str, operand: Any, doc: Mapping[str, Any]) -> Any:
-        if op in _COMPARISONS:
-            left, right = self._pair(operand, doc)
-            return _COMPARISONS[op](_order_key(left), _order_key(right))
-        if op == "$and":
-            return all(_truthy(self.evaluate(item, doc)) for item in operand)
-        if op == "$or":
-            return any(_truthy(self.evaluate(item, doc)) for item in operand)
-        if op == "$not":
-            inner = operand[0] if isinstance(operand, list) else operand
-            return not _truthy(self.evaluate(inner, doc))
-        if op in _ARITHMETIC:
-            values = [self.evaluate(item, doc) for item in operand]
-            if any(value is SENTINEL_MISSING or value is None for value in values):
-                return None
-            return _ARITHMETIC[op](values)
-        if op == "$toUpper":
-            value = self.evaluate(operand, doc)
-            return "" if value in (None, SENTINEL_MISSING) else str(value).upper()
-        if op == "$toLower":
-            value = self.evaluate(operand, doc)
-            return "" if value in (None, SENTINEL_MISSING) else str(value).lower()
-        if op == "$toInt":
-            value = self.evaluate(operand, doc)
-            return None if value in (None, SENTINEL_MISSING) else int(float(value))
-        if op == "$toString":
-            value = self.evaluate(operand, doc)
-            return None if value in (None, SENTINEL_MISSING) else str(value)
-        if op == "$abs":
-            value = self.evaluate(operand, doc)
-            return None if value in (None, SENTINEL_MISSING) else abs(value)
-        if op == "$ifNull":
-            first = self.evaluate(operand[0], doc)
-            if first in (None, SENTINEL_MISSING):
-                return self.evaluate(operand[1], doc)
-            return first
-        if op == "$concat":
-            values = [self.evaluate(item, doc) for item in operand]
-            if any(value in (None, SENTINEL_MISSING) for value in values):
-                return None
-            return "".join(str(value) for value in values)
-        if op == "$in":
-            value = self.evaluate(operand[0], doc)
-            members = self.evaluate(operand[1], doc)
-            if not isinstance(members, list):
-                raise ExecutionError("$in requires an array as its second operand")
-            target = _order_key(value)
-            return any(_order_key(member) == target for member in members)
-        if op == "$cond":
-            # Array form only: [if, then, else] — lazy, the untaken
-            # branch is never evaluated (matching MongoDB).
-            if not isinstance(operand, list) or len(operand) != 3:
-                raise ExecutionError("$cond takes an [if, then, else] array")
-            if_expr, then_expr, else_expr = operand
-            branch = then_expr if _truthy(self.evaluate(if_expr, doc)) else else_expr
-            return self.evaluate(branch, doc)
-        if op == "$isNumber":
-            value = self.evaluate(operand, doc)
-            # Booleans are not BSON numbers.
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
-        if op == "$literal":
-            return operand
-        raise ExecutionError(f"unknown aggregation operator {op!r}")
-
-    def _pair(self, operand: Any, doc: Mapping[str, Any]) -> tuple[Any, Any]:
-        if not isinstance(operand, list) or len(operand) != 2:
-            raise ExecutionError("comparison operators take a two-element array")
-        return self.evaluate(operand[0], doc), self.evaluate(operand[1], doc)
+    ``$$name`` reads *scope* when the closure runs, so a caller may rebind
+    the variables (a ``$lookup`` per outer document) without recompiling.
+    """
+    return _compile(expr, scope if scope is not None else {})[0]
 
 
-def _order_key(value: Any) -> tuple:
-    """Total order over values, missing lowest (BSON-like)."""
-    return index_key(value)
+def constant_value(expr: Any) -> Any:
+    """The value *expr* takes for every document, or ``NOT_CONSTANT``."""
+    return _compile(expr, {})[1]
 
 
-def _truthy(value: Any) -> bool:
-    if value is SENTINEL_MISSING or value is None:
-        return False
-    return bool(value)
+def compile_field(path: str) -> Compiled:
+    """A getter for one (possibly dotted) field path."""
+    parts = tuple(path.split("."))
+    if len(parts) > 1:
+        return lambda doc: _walk(doc, parts)
+    name = parts[0]
+
+    def field(doc: Any) -> Any:
+        if type(doc) is dict:
+            return doc.get(name, SENTINEL_MISSING)
+        return _walk(doc, parts)
+
+    return field
+
+
+class FieldRef:
+    """Compile-time node reading one field path (``$match``'s field form)."""
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+
+# ----------------------------------------------------------------------
+# The compiler.  Every node compiles to ``(closure, const)``; ``const`` is
+# the node's value when it is the same for every document, else _NOT_CONST.
+# ----------------------------------------------------------------------
+
+
+def _constant(value: Any) -> tuple[Compiled, Any]:
+    return (lambda doc: value), value
+
+
+def _compile(expr: Any, scope: Mapping[str, Any]) -> tuple[Compiled, Any]:
+    if isinstance(expr, str):
+        if expr.startswith("$$"):
+            return _variable(expr, scope), _NOT_CONST
+        if expr.startswith("$"):
+            return compile_field(expr[1:]), _NOT_CONST
+        return _constant(expr)
+    if isinstance(expr, dict):
+        if len(expr) == 1:
+            op, operand = next(iter(expr.items()))
+            if op.startswith("$"):
+                return _compile_operator(op, operand, scope)
+        # A document literal with computed members; built fresh per call.
+        members = [(key, _compile(value, scope)) for key, value in expr.items()]
+        pairs = [(key, fn) for key, (fn, _const) in members]
+
+        def document(doc: Any) -> dict[str, Any]:
+            return {key: fn(doc) for key, fn in pairs}
+
+        if all(const is not _NOT_CONST for _key, (_fn, const) in members):
+            return document, document(None)
+        return document, _NOT_CONST
+    if isinstance(expr, list):
+        fns, consts = _compile_all(expr, scope)
+
+        def array(doc: Any) -> list[Any]:
+            return [fn(doc) for fn in fns]
+
+        return array, (array(None) if consts else _NOT_CONST)
+    if isinstance(expr, FieldRef):
+        return compile_field(expr.path), _NOT_CONST
+    return _constant(expr)  # numeric / boolean / None literal
+
+
+def _compile_all(items: Any, scope: Mapping[str, Any]) -> tuple[list[Compiled], bool]:
+    """Compile a sequence of operands; the flag says all are constant."""
+    compiled = [_compile(item, scope) for item in items]
+    return [fn for fn, _const in compiled], all(
+        const is not _NOT_CONST for _fn, const in compiled
+    )
+
+
+def _variable(expr: str, scope: Mapping[str, Any]) -> Compiled:
+    name = expr[2:].split(".", 1)[0]
+    rest = expr[2 + len(name):]
+    parts = tuple(rest[1:].split(".")) if rest.startswith(".") else None
+
+    def variable(doc: Any) -> Any:
+        try:
+            value = scope[name]
+        except KeyError:
+            raise ExecutionError(f"undefined pipeline variable {expr!r}") from None
+        if parts is None:
+            return value
+        return _walk(value, parts) if isinstance(value, Mapping) else SENTINEL_MISSING
+
+    return variable
+
+
+def _compile_operator(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, Any]:
+    builder = _OPERATORS.get(op)
+    if builder is None:
+
+        def unknown(doc: Any) -> Any:
+            raise ExecutionError(f"unknown aggregation operator {op!r}")
+
+        return unknown, _NOT_CONST
+    try:
+        fn, foldable = builder(op, operand, scope)
+    except Exception:
+        # A malformed operand raises where the interpreter raised: when
+        # the operator is evaluated, not when the pipeline is compiled.
+        def malformed(doc: Any) -> Any:
+            return builder(op, operand, scope)[0](doc)
+
+        return malformed, _NOT_CONST
+    if not foldable:
+        return fn, _NOT_CONST
+    try:
+        value = fn(None)
+    except Exception:
+        return fn, _NOT_CONST  # e.g. {"$divide": [1, 0]} raises per document
+    if isinstance(value, (dict, list)):
+        return fn, value  # containers stay fresh per document
+    return _constant(value)
+
+
+def _absent(value: Any) -> bool:
+    return value is None or value is SENTINEL_MISSING
 
 
 _COMPARISONS = {
-    "$eq": lambda a, b: a == b,
-    "$ne": lambda a, b: a != b,
-    "$gt": lambda a, b: a > b,
-    "$gte": lambda a, b: a >= b,
-    "$lt": lambda a, b: a < b,
-    "$lte": lambda a, b: a <= b,
+    "$eq": operator.eq,
+    "$ne": operator.ne,
+    "$gt": operator.gt,
+    "$gte": operator.ge,
+    "$lt": operator.lt,
+    "$lte": operator.le,
 }
 
 
-def _arith(func):
-    def apply(values: list[Any]) -> Any:
+def _build_comparison(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
+    compare = _COMPARISONS[op]
+    if not isinstance(operand, list) or len(operand) != 2:
+
+        def malformed(doc: Any) -> Any:
+            raise ExecutionError("comparison operators take a two-element array")
+
+        return malformed, False
+    (left, left_const), (right, right_const) = (_compile(item, scope) for item in operand)
+    rank = SAME_RANK_TYPES.get(right_const.__class__) if right_const is not _NOT_CONST else None
+    if rank is not None and right_const == right_const:  # not NaN
+        constant, constant_key = right_const, index_key(right_const)
+
+        def against_constant(doc: Any) -> bool:
+            value = left(doc)
+            if SAME_RANK_TYPES.get(value.__class__) == rank:
+                return compare(value, constant)
+            return compare(index_key(value), constant_key)
+
+        return against_constant, left_const is not _NOT_CONST
+
+    def comparison(doc: Any) -> bool:
+        a = left(doc)
+        b = right(doc)
+        rank_a = SAME_RANK_TYPES.get(a.__class__)
+        # ``a is b`` keeps a NaN equal to itself, as its key tuple is.
+        if rank_a is not None and rank_a == SAME_RANK_TYPES.get(b.__class__) and a is not b:
+            return compare(a, b)
+        return compare(index_key(a), index_key(b))
+
+    return comparison, left_const is not _NOT_CONST and right_const is not _NOT_CONST
+
+
+def _build_and(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
+    fns, consts = _compile_all(list(operand), scope)
+
+    # MISSING is falsy, so plain truthiness is MongoDB's: missing, null,
+    # false and zero are false.  Short-circuits like MongoDB: members
+    # after the deciding one are not evaluated.
+    def conjunction(doc: Any) -> bool:
+        for fn in fns:
+            if not fn(doc):
+                return False
+        return True
+
+    return conjunction, consts
+
+
+def _build_or(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
+    fns, consts = _compile_all(list(operand), scope)
+
+    def disjunction(doc: Any) -> bool:
+        for fn in fns:
+            if fn(doc):
+                return True
+        return False
+
+    return disjunction, consts
+
+
+def _build_not(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
+    inner, const = _compile(operand[0] if isinstance(operand, list) else operand, scope)
+    return (lambda doc: not inner(doc)), const is not _NOT_CONST
+
+
+def _build_arithmetic(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
+    func = _ARITHMETIC[op]
+    fns, consts = _compile_all(list(operand), scope)
+    if len(fns) == 2:
+        first, second = fns
+
+        def binary(doc: Any) -> Any:
+            a = first(doc)
+            b = second(doc)
+            if _absent(a) or _absent(b):
+                return None
+            return func(a, b)
+
+        return binary, consts
+
+    def nary(doc: Any) -> Any:
+        values = [fn(doc) for fn in fns]
+        if any(_absent(value) for value in values):
+            return None
         result = values[0]
         for value in values[1:]:
             result = func(result, value)
         return result
 
-    return apply
+    return nary, consts
+
+
+def _unary(convert: Callable[[Any], Any], if_absent: Any):
+    def build(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
+        inner, const = _compile(operand, scope)
+
+        def unary(doc: Any) -> Any:
+            value = inner(doc)
+            return if_absent if _absent(value) else convert(value)
+
+        return unary, const is not _NOT_CONST
+
+    return build
+
+
+def _build_if_null(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
+    (first, first_const), (second, second_const) = (
+        _compile(operand[0], scope),
+        _compile(operand[1], scope),
+    )
+
+    def if_null(doc: Any) -> Any:
+        value = first(doc)
+        return second(doc) if _absent(value) else value
+
+    return if_null, first_const is not _NOT_CONST and second_const is not _NOT_CONST
+
+
+def _build_concat(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
+    fns, consts = _compile_all(list(operand), scope)
+
+    def concat(doc: Any) -> Any:
+        values = [fn(doc) for fn in fns]
+        if any(_absent(value) for value in values):
+            return None
+        return "".join(str(value) for value in values)
+
+    return concat, consts
+
+
+def _build_in(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
+    (needle, needle_const), (haystack, haystack_const) = (
+        _compile(operand[0], scope),
+        _compile(operand[1], scope),
+    )
+    member_keys = None
+    if isinstance(haystack_const, list):
+        try:
+            member_keys = [index_key(member) for member in haystack_const]
+        except TypeError:
+            member_keys = None  # an unkeyable member raises only if reached
+
+    def contains(doc: Any) -> bool:
+        value = needle(doc)
+        if member_keys is not None:
+            return index_key(value) in member_keys
+        members = haystack(doc)
+        if not isinstance(members, list):
+            raise ExecutionError("$in requires an array as its second operand")
+        target = index_key(value)
+        return any(index_key(member) == target for member in members)
+
+    return contains, needle_const is not _NOT_CONST and haystack_const is not _NOT_CONST
+
+
+def _build_cond(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
+    # Array form only: [if, then, else] — lazy, the untaken branch is
+    # never evaluated (matching MongoDB).
+    if not isinstance(operand, list) or len(operand) != 3:
+
+        def malformed(doc: Any) -> Any:
+            raise ExecutionError("$cond takes an [if, then, else] array")
+
+        return malformed, False
+    fns, consts = _compile_all(operand, scope)
+    test, then, otherwise = fns
+
+    def cond(doc: Any) -> Any:
+        return then(doc) if test(doc) else otherwise(doc)
+
+    return cond, consts
+
+
+def _build_is_number(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
+    inner, const = _compile(operand, scope)
+
+    def is_number(doc: Any) -> bool:
+        value = inner(doc)
+        # Booleans are not BSON numbers.
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    return is_number, const is not _NOT_CONST
+
+
+def _build_literal(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
+    return (lambda doc: operand), True
 
 
 _ARITHMETIC = {
-    "$add": _arith(lambda a, b: a + b),
-    "$subtract": _arith(lambda a, b: a - b),
-    "$multiply": _arith(lambda a, b: a * b),
-    "$divide": _arith(lambda a, b: a / b),
-    "$mod": _arith(lambda a, b: a % b),
+    "$add": operator.add,
+    "$subtract": operator.sub,
+    "$multiply": operator.mul,
+    "$divide": operator.truediv,
+    "$mod": operator.mod,
+}
+
+_OPERATORS: dict[str, Callable[..., tuple[Compiled, bool]]] = {
+    **{op: _build_comparison for op in _COMPARISONS},
+    **{op: _build_arithmetic for op in _ARITHMETIC},
+    "$and": _build_and,
+    "$or": _build_or,
+    "$not": _build_not,
+    "$toUpper": _unary(lambda value: str(value).upper(), ""),
+    "$toLower": _unary(lambda value: str(value).lower(), ""),
+    "$toInt": _unary(lambda value: int(float(value)), None),
+    "$toString": _unary(str, None),
+    "$abs": _unary(abs, None),
+    "$ifNull": _build_if_null,
+    "$concat": _build_concat,
+    "$in": _build_in,
+    "$cond": _build_cond,
+    "$isNumber": _build_is_number,
+    "$literal": _build_literal,
 }

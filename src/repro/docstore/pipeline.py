@@ -19,11 +19,17 @@ indexed field, matching the paper's expression-12 observation.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, TYPE_CHECKING
+from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
 from repro.errors import ExecutionError, UnsupportedOperationError
 from repro.docstore.collection import Collection
-from repro.docstore.exprs import ExprEvaluator, get_path
+from repro.docstore.exprs import (
+    NOT_CONSTANT,
+    FieldRef,
+    compile_expr,
+    compile_field,
+    constant_value,
+)
 from repro.exec.kernels import Descending, finalize_avg, finalize_std
 from repro.exec.memory import (
     MemoryBudget,
@@ -140,12 +146,12 @@ class PipelineExecutor:
     def _try_index_match(
         self, collection: Collection, match: dict[str, Any], stats: QueryStats
     ) -> tuple[Iterator[dict[str, Any]], bool, str] | None:
-        """Serve an equality $match from an index when possible.
+        """Serve an equality or range $match from an index when possible.
 
         Returns ``(document iterator, fully_consumed, field)``;
         ``fully_consumed`` is False when the probe covers only part of the
-        predicate (an ``$and`` of equalities — expression 3's shape) and
-        the stage must be re-applied as a residual filter.
+        predicate (an ``$and`` of equalities — expression 3's shape — or
+        any range) and the stage must be re-applied as a residual filter.
         """
         equalities, exhaustive = self._extract_equalities(match)
         for field, value in equalities:
@@ -160,6 +166,26 @@ class PipelineExecutor:
 
             fully_consumed = exhaustive and len(equalities) == 1
             return probe(), fully_consumed, field
+        for field, bounds in _expr_ranges(match).items():
+            # Missing and null fields are not indexed, so only a range with
+            # a concrete lower bound (which excludes them) may use the index.
+            if "low" not in bounds or not collection.has_index(field):
+                continue
+
+            def range_scan(field: str = field, bounds: dict = bounds) -> Iterator[dict[str, Any]]:
+                low, low_inclusive = bounds["low"]
+                high, high_inclusive = bounds.get("high", (None, True))
+                for _key, rid in collection.index(field).scan(
+                    index_key(low),
+                    None if high is None else index_key(high),
+                    low_inclusive=low_inclusive,
+                    high_inclusive=high_inclusive,
+                ):
+                    stats.index_entries += 1
+                    stats.heap_fetches += 1
+                    yield collection.fetch(rid)
+
+            return range_scan(), False, field
         return None
 
     def _extract_equalities(
@@ -269,72 +295,96 @@ class PipelineExecutor:
         raise ExecutionError(f"unsupported pipeline stage {op!r}")
 
     def _stage_match(self, docs: Iterable[dict], spec: dict) -> Iterator[dict]:
-        evaluator = ExprEvaluator()
-        for doc in docs:
-            if _matches(evaluator, doc, spec):
-                yield doc
+        matches = compile_match(spec)
+        return (doc for doc in docs if matches(doc))
 
     def _stage_project(self, docs: Iterable[dict], spec: dict) -> Iterator[dict]:
-        evaluator = ExprEvaluator()
-        exclusion_only = all(value in (0, False) for value in spec.values())
-        for doc in docs:
-            if exclusion_only:
-                yield {key: value for key, value in doc.items() if key not in spec}
+        if all(value in (0, False) for value in spec.values()):
+            excluded = set(spec)
+            for doc in docs:
+                yield {key: value for key, value in doc.items() if key not in excluded}
+            return
+        keep_id = spec.get("_id", 1) not in (0, False)
+        # One step per non-_id key, in spec order: include a field, drop
+        # one already copied, or compute one.
+        steps: list[tuple[str, str, Any]] = []
+        for key, value in spec.items():
+            if key == "_id":
                 continue
-            out: dict[str, Any] = {}
-            if "_id" in doc and spec.get("_id", 1) not in (0, False):
+            if value in (1, True):
+                steps.append(("include", key, compile_field(key)))
+            elif value in (0, False):
+                steps.append(("exclude", key, None))
+            else:
+                steps.append(("compute", key, compile_expr(value)))
+        if all(kind == "include" and "." not in key for kind, key, _fn in steps):
+            # The common inclusion projection: a precomputed field list.
+            fields = [key for _kind, key, _fn in steps]
+            for doc in docs:
+                out: dict[str, Any] = {}
+                if keep_id and "_id" in doc:
+                    out["_id"] = doc["_id"]
+                for key in fields:
+                    value = doc.get(key, SENTINEL_MISSING)
+                    if value is not SENTINEL_MISSING:
+                        out[key] = value
+                yield out
+            return
+        for doc in docs:
+            out = {}
+            if keep_id and "_id" in doc:
                 out["_id"] = doc["_id"]
-            for key, value in spec.items():
-                if key == "_id":
-                    continue
-                if value in (1, True):
-                    resolved = get_path(doc, key)
-                    if resolved is not SENTINEL_MISSING:
-                        out[key] = resolved
-                elif value in (0, False):
+            for kind, key, fn in steps:
+                if kind == "exclude":
                     out.pop(key, None)
-                else:
-                    computed = evaluator.evaluate(value, doc)
-                    if computed is not SENTINEL_MISSING:
-                        out[key] = computed
+                    continue
+                value = fn(doc)
+                if value is not SENTINEL_MISSING:
+                    out[key] = value
             yield out
 
     def _stage_add_fields(self, docs: Iterable[dict], spec: dict) -> Iterator[dict]:
-        evaluator = ExprEvaluator()
+        fields = [(key, compile_expr(value)) for key, value in spec.items()]
         for doc in docs:
             out = dict(doc)
-            for key, value in spec.items():
-                computed = evaluator.evaluate(value, doc)
+            for key, fn in fields:
+                computed = fn(doc)
                 if computed is not SENTINEL_MISSING:
                     out[key] = computed
             yield out
 
     def _stage_group(self, docs: Iterable[dict], spec: dict) -> Iterator[dict]:
-        evaluator = ExprEvaluator()
         id_spec = spec.get("_id", None)
-        accumulators = {key: value for key, value in spec.items() if key != "_id"}
+        # A constant _id (``{}`` for a whole-collection aggregate) is one
+        # group: its value and hash key are computed once, not per document.
+        fixed_id = constant_value(id_spec)
+        group_of = compile_expr(id_spec) if fixed_id is NOT_CONSTANT else None
+        fixed_key = _hashable(fixed_id) if group_of is None else None
+        accumulators = [
+            (name, agg_spec, _compile_accumulator_argument(agg_spec))
+            for name, agg_spec in spec.items()
+            if name != "_id"
+        ]
         groups = SpillableGroups(self.memory)
         try:
             for doc in docs:
-                group_id = (
-                    evaluator.evaluate(id_spec, doc) if id_spec is not None else None
-                )
-                key = _hashable(group_id)
+                if group_of is None:
+                    group_id, key = fixed_id, fixed_key
+                else:
+                    group_id = group_of(doc)
+                    key = _hashable(group_id)
                 entry = groups.get(key)
                 if entry is None:
                     entry = (
-                        {name: _make_accumulator(agg) for name, agg in accumulators.items()},
+                        [_make_accumulator(agg_spec) for _name, agg_spec, _fn in accumulators],
                         group_id,
                     )
                     groups.insert(key, entry, estimate_record_bytes(group_id))
-                accs = entry[0]
-                for name, agg_spec in accumulators.items():
-                    agg_op, agg_expr = next(iter(agg_spec.items()))
-                    value = evaluator.evaluate(agg_expr, doc)
-                    accs[name].add(value)
+                for acc, (_name, _spec, argument) in zip(entry[0], accumulators):
+                    acc.add(argument(doc))
             for accs, group_id in groups.finalized(_merge_doc_groups):
                 out = {"_id": group_id}
-                for name, acc in accs.items():
+                for acc, (name, _spec, _fn) in zip(accs, accumulators):
                     out[name] = acc.result()
                 yield out
         finally:
@@ -344,21 +394,19 @@ class PipelineExecutor:
         # One stable composite-key sort with per-key direction — equivalent
         # to the reversed sequence of stable single-key sorts MongoDB
         # specifies — so the spill path can merge runs on the same keys.
-        fields = list(spec.items())
+        fields: list[tuple[Any, bool]] | None = None
         sorter = SpillSorter(self.memory)
         try:
             for doc in docs:
-                key = tuple(
-                    Descending(part) if direction < 0 else part
-                    for part, direction in (
-                        (
-                            index_key(_missing_to_none(get_path(doc, field))),
-                            direction,
-                        )
-                        for field, direction in fields
-                    )
-                )
-                sorter.add(key, doc)
+                if fields is None:
+                    # Compiled at the first document: a malformed direction
+                    # fails only when there is something to sort.
+                    fields = [(compile_field(f), d < 0) for f, d in spec.items()]
+                key = []
+                for getter, descending in fields:
+                    part = index_key(_missing_to_none(getter(doc)))
+                    key.append(Descending(part) if descending else part)
+                sorter.add(tuple(key), doc)
             yield from sorter.sorted_records()
         finally:
             sorter.close()
@@ -390,9 +438,10 @@ class PipelineExecutor:
         if not path.startswith("$"):
             raise ExecutionError("$unwind path must start with '$'")
         field = path[1:]
+        value_of = compile_field(field)
         preserve = bool(spec.get("preserveNullAndEmptyArrays", False))
         for doc in docs:
-            value = get_path(doc, field)
+            value = value_of(doc)
             if isinstance(value, list):
                 if not value and preserve:
                     yield doc
@@ -421,8 +470,9 @@ class PipelineExecutor:
         local_field = spec["localField"]
         foreign_field = spec["foreignField"]
         use_index = foreign.has_index(foreign_field)
+        local_value, foreign_value = compile_field(local_field), compile_field(foreign_field)
         for doc in docs:
-            value = get_path(doc, local_field)
+            value = local_value(doc)
             matches: list[dict]
             if value is SENTINEL_MISSING or value is None:
                 matches = []
@@ -435,7 +485,7 @@ class PipelineExecutor:
             else:
                 matches = [
                     other for other in foreign.scan()
-                    if get_path(other, foreign_field) == value
+                    if foreign_value(other) == value
                 ]
                 stats.heap_fetches += len(foreign)
             out = dict(doc)
@@ -453,11 +503,18 @@ class PipelineExecutor:
         let_spec = spec.get("let", {})
         sub_pipeline = spec["pipeline"]
         probe_field = _index_probe_field(sub_pipeline, let_spec, foreign)
-        base_evaluator = ExprEvaluator()
+        bindings = [(name, compile_expr(expr)) for name, expr in let_spec.items()]
+        # Without an index probe, the sub-pipeline's $match stages compile
+        # once against a scope the loop rebinds to each outer document's
+        # `let` variables.
+        scope: dict[str, Any] = {}
+        sub_matches = [
+            compile_match(stage["$match"], scope)
+            for stage in sub_pipeline
+            if "$match" in stage and probe_field is None
+        ]
         for doc in docs:
-            variables = {
-                name: base_evaluator.evaluate(expr, doc) for name, expr in let_spec.items()
-            }
+            variables = {name: fn(doc) for name, fn in bindings}
             if probe_field is not None:
                 var_name = probe_field[1]
                 value = variables.get(var_name, SENTINEL_MISSING)
@@ -468,14 +525,11 @@ class PipelineExecutor:
                         stats.heap_fetches += 1
                         matches.append(match)
             else:
-                evaluator = ExprEvaluator(variables)
+                scope.clear()
+                scope.update(variables)
                 matches = [
                     other for other in foreign.scan()
-                    if all(
-                        _matches(evaluator, other, stage.get("$match", {}))
-                        for stage in sub_pipeline
-                        if "$match" in stage
-                    )
+                    if all(sub_match(other) for sub_match in sub_matches)
                 ]
                 stats.heap_fetches += len(foreign)
             out = dict(doc)
@@ -494,31 +548,74 @@ class PipelineExecutor:
 # ----------------------------------------------------------------------
 
 
-def _matches(evaluator: ExprEvaluator, doc: dict, spec: dict) -> bool:
-    """Evaluate a $match specification against one document."""
+def compile_match(spec: dict, scope: dict[str, Any] | None = None) -> Callable[[Any], Any]:
+    """Compile a $match specification into a truthy-valued predicate."""
+    tests: list[Callable[[Any], Any]] = []
     for key, condition in spec.items():
         if key == "$expr":
-            value = evaluator.evaluate(condition, doc)
-            if value is SENTINEL_MISSING or value is None or not value:
-                return False
+            tests.append(compile_expr(condition, scope))
         elif isinstance(condition, dict) and any(k.startswith("$") for k in condition):
-            value = get_path(doc, key)
-            for op, operand in condition.items():
-                result = evaluator.evaluate({op: [_wrap_literal(value), operand]}, doc)
-                if not result:
-                    return False
+            # Field form ``{field: {$op: operand}}``: the operator applied
+            # to the field's value and the operand.
+            tests.extend(
+                compile_expr({op: [FieldRef(key), operand]}, scope)
+                for op, operand in condition.items()
+            )
         else:
-            if get_path(doc, key) != condition:
+            tests.append(_field_equals(key, condition))
+    if len(tests) == 1:
+        return tests[0]
+
+    def conjunction(doc: Any) -> bool:
+        for test in tests:
+            if not test(doc):
                 return False
-    return True
+        return True
+
+    return conjunction
 
 
-def _wrap_literal(value: Any) -> Any:
-    if value is SENTINEL_MISSING:
-        return {"$literal": SENTINEL_MISSING}
-    if isinstance(value, (str, dict, list)):
-        return {"$literal": value}
-    return value
+def _field_equals(key: str, value: Any) -> Callable[[Any], bool]:
+    getter = compile_field(key)
+    return lambda doc: not getter(doc) != value
+
+
+_RANGE_OPS = {"$gt": ("low", False), "$gte": ("low", True), "$lt": ("high", False), "$lte": ("high", True)}
+
+
+def _expr_ranges(match: dict[str, Any]) -> dict[str, dict[str, tuple[Any, bool]]]:
+    """Constant range bounds per field in a ``$match`` ``$expr`` conjunction.
+
+    ``{"$gte": ["$f", 38]}`` gives ``{"f": {"low": (38, True)}}``; conjuncts
+    under (nested) ``$and`` combine, the first bound of each side winning.
+    Only non-null scalar constants count.
+    """
+    if list(match) != ["$expr"]:
+        return {}
+    ranges: dict[str, dict[str, tuple[Any, bool]]] = {}
+    pending = [match["$expr"]]
+    while pending:
+        expr = pending.pop(0)
+        if not isinstance(expr, dict) or len(expr) != 1:
+            continue
+        op, operand = next(iter(expr.items()))
+        if op == "$and" and isinstance(operand, list):
+            pending.extend(operand)
+            continue
+        if op not in _RANGE_OPS or not isinstance(operand, list) or len(operand) != 2:
+            continue
+        field, value = operand
+        if (
+            isinstance(field, str)
+            and field.startswith("$")
+            and not field.startswith("$$")
+            and isinstance(value, (int, float, str))
+            and not (isinstance(value, str) and value.startswith("$"))
+            and value == value  # NaN has no place in the index order
+        ):
+            side, inclusive = _RANGE_OPS[op]
+            ranges.setdefault(field[1:], {}).setdefault(side, (value, inclusive))
+    return ranges
 
 
 def _index_probe_field(
@@ -580,19 +677,20 @@ class _SumAcc(_Accumulator):
 
 
 class _MinMaxAcc(_Accumulator):
+    """$min/$max in BSON order; the best value's key is kept beside it."""
+
     def __init__(self, is_min: bool) -> None:
         self.is_min = is_min
         self.best: Any = None
+        self.best_key: Any = None
 
     def add(self, value: Any) -> None:
         if value is SENTINEL_MISSING or value is None:
             return
-        if self.best is None:
+        key = index_key(value)
+        if self.best is None or (key < self.best_key if self.is_min else key > self.best_key):
             self.best = value
-        elif self.is_min and index_key(value) < index_key(self.best):
-            self.best = value
-        elif not self.is_min and index_key(value) > index_key(self.best):
-            self.best = value
+            self.best_key = key
 
     def merge(self, other: "_MinMaxAcc") -> None:
         if other.best is not None:
@@ -658,14 +756,25 @@ class _StdAcc(_Accumulator):
 
 
 def _merge_doc_groups(
-    prior: tuple[dict[str, _Accumulator], Any], later: tuple[dict[str, _Accumulator], Any]
-) -> tuple[dict[str, _Accumulator], Any]:
+    prior: tuple[list[_Accumulator], Any], later: tuple[list[_Accumulator], Any]
+) -> tuple[list[_Accumulator], Any]:
     """Fold a later spill run's group state into the earlier one."""
     prior_accs, group_id = prior
     later_accs, _later_id = later
-    for name, acc in prior_accs.items():
-        acc.merge(later_accs[name])
+    for acc, other in zip(prior_accs, later_accs):
+        acc.merge(other)
     return (prior_accs, group_id)
+
+
+def _compile_accumulator_argument(spec: Any) -> Callable[[Any], Any]:
+    """The accumulator's argument expression, compiled.
+
+    A malformed accumulator compiles to a no-op: :func:`_make_accumulator`
+    raises for it before any argument is evaluated.
+    """
+    if isinstance(spec, dict) and len(spec) == 1:
+        return compile_expr(next(iter(spec.values())))
+    return lambda doc: None
 
 
 def _make_accumulator(spec: dict) -> _Accumulator:

@@ -39,7 +39,8 @@ from repro.sqlengine.physical import (
     ExecutionContext,
     _collect_aggregates,
     _dedup_key,
-    _eval_with_aggregates,
+    compile_group_output,
+    compile_sort_key,
     make_accumulator,
     merge_group_state,
 )
@@ -405,6 +406,7 @@ class VecAggregate(VectorHead):
             yield from self._scalar(ctx, evaluator)
 
     def _scalar(self, ctx, evaluator):
+        shape = compile_group_output(ctx.evaluator, self.items, self.select_value)
         accumulators = [make_accumulator(call) for call in self._agg_calls]
         representative: Any = None
         for batch in self.child.batches(ctx, evaluator):
@@ -420,11 +422,10 @@ class VecAggregate(VectorHead):
             for call, accumulator in zip(self._agg_calls, accumulators)
         }
         # SQL: aggregates over an empty input still produce one row.
-        yield self._shape_output(
-            ctx, representative if representative is not None else {}, results
-        )
+        yield shape(representative if representative is not None else {}, results)
 
     def _grouped(self, ctx, evaluator):
+        shape = compile_group_output(ctx.evaluator, self.items, self.select_value)
         groups = SpillableGroups(ctx.memory)
         try:
             for batch in self.child.batches(ctx, evaluator):
@@ -456,20 +457,9 @@ class VecAggregate(VectorHead):
                     id(call): accumulator.result()
                     for call, accumulator in zip(self._agg_calls, accumulators)
                 }
-                yield self._shape_output(ctx, representative, results)
+                yield shape(representative, results)
         finally:
             groups.close()
-
-    def _shape_output(self, ctx, row, agg_results):
-        values: dict[str, Any] = {}
-        single_value: Any = None
-        for item in self.items:
-            value = _eval_with_aggregates(ctx.evaluator, item.expr, row, agg_results)
-            if self.select_value:
-                single_value = value
-            else:
-                values[item.output_name()] = value
-        return single_value if self.select_value else values
 
     def describe(self) -> str:
         keys = ", ".join(str(expr) for expr in self.group_by) or "<scalar>"
@@ -487,27 +477,12 @@ class VecRecordSort(VectorHead):
         return (self.child,)
 
     def rows(self, ctx, evaluator):
-        row_evaluate = ctx.evaluator.evaluate
-        descending = [key.descending for key in self.keys]
-
-        def env_of(record: Any) -> dict[str, Any]:
-            return {"t": record if isinstance(record, dict) else {"value": record}}
-
+        env_key = compile_sort_key(ctx.evaluator, self.keys)
         sorter = SpillSorter(ctx.memory)
         try:
             for record in self.child.rows(ctx, evaluator):
-                env = env_of(record)
-                decorated = tuple(
-                    Descending(k) if desc else k
-                    for k, desc in zip(
-                        (
-                            _order_key(row_evaluate(key.expr, env))
-                            for key in self.keys
-                        ),
-                        descending,
-                    )
-                )
-                sorter.add(decorated, record)
+                env = {"t": record if isinstance(record, dict) else {"value": record}}
+                sorter.add(env_key(env), record)
             yield from sorter.sorted_records()
         finally:
             sorter.close()

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Iterator
+import operator
+from typing import Any, Callable, Iterator
 
 from repro.errors import ExecutionError
 from repro.exec.memory import MemoryBudget, estimate_record_bytes
@@ -44,7 +45,7 @@ from repro.graphdb.cypher_ast import (
 )
 from repro.graphdb.store import GraphStore
 from repro.sqlengine.result import QueryStats
-from repro.storage.keys import SENTINEL_MISSING, index_key
+from repro.storage.keys import SAME_RANK_TYPES, SENTINEL_MISSING, index_key
 
 
 class NodeHandle:
@@ -213,17 +214,16 @@ class CypherExecutor:
             rows, conjuncts = self._bind_pattern(rows, pattern, conjuncts, step, bound)
             bound.add(pattern.var)
         if conjuncts:
-            predicate = _conjoin(conjuncts)
-            rows = (
-                row for row in rows if self._truthy(self._eval(predicate, row))
-            )
+            predicate = compile_expr(_conjoin(conjuncts))
+            rows = (row for row in rows if predicate(row) is True)
         if step.order is not None and not step.order_served:
             # The ORDER BY folded into this step could not ride an index;
             # sort explicitly (Neo4j's fallback Sort operator).
             var, prop, descending = step.order
+            order_value = compile_expr(Prop(var, prop))
             materialized = list(rows)
             materialized.sort(
-                key=lambda row: index_key(self._eval(Prop(var, prop), row)),
+                key=lambda row: index_key(order_value(row)),
                 reverse=descending,
             )
             rows = self._account_rows(materialized)
@@ -256,8 +256,9 @@ class CypherExecutor:
             # Consume the seed row stream (a single empty row) eagerly; the
             # candidate walk itself stays lazy.
             def seed() -> Iterator[Row]:
+                var, store = pattern.var, self._store
                 for node_id in candidates:
-                    yield {pattern.var: NodeHandle(self._store, node_id)}
+                    yield {var: NodeHandle(store, node_id)}
 
             return seed(), remaining
 
@@ -293,8 +294,9 @@ class CypherExecutor:
         self, rows: Iterator[Row], pattern: Pattern, prop: str, bound_expr: CypherExpr
     ) -> Iterator[Row]:
         tree = self._store.index(pattern.label, prop)
+        probe_value = compile_expr(bound_expr)
         for row in rows:
-            value = self._eval(bound_expr, row)
+            value = probe_value(row)
             if value is None:
                 continue
             for node_id in tree.search(index_key(value)):
@@ -410,11 +412,11 @@ class CypherExecutor:
                 self._memory.release(nbytes)
             rows = self._account_rows(aggregated)
         else:
-            rows = (self._project_row(row, clause.items) for row in rows)
+            projection = [(item.output_name(), compile_expr(item.expr)) for item in clause.items]
+            rows = ({name: fn(row) for name, fn in projection} for row in rows)
         if clause.where is not None:
-            rows = (
-                row for row in rows if self._truthy(self._eval(clause.where, row))
-            )
+            predicate = compile_expr(clause.where)
+            rows = (row for row in rows if predicate(row) is True)
         if clause.order_by:
             rows = self._account_rows(self._order(list(rows), clause.order_by))
         if clause.distinct:
@@ -426,23 +428,15 @@ class CypherExecutor:
     def _distinct(self, rows: Iterator[Row]) -> Iterator[Row]:
         seen: set = set()
         for row in rows:
-            key = _hashable(self._plain(row))
+            key = _hashable(_plain(row))
             if key not in seen:
                 seen.add(key)
                 yield row
 
-    def _project_row(self, row: Row, items: tuple[WithItem, ...]) -> Row:
-        out: Row = {}
-        for item in items:
-            out[item.output_name()] = self._eval(item.expr, row)
-        return out
-
     def _order(self, rows: list[Row], keys: tuple[OrderKey, ...]) -> list[Row]:
         for key in reversed(keys):
-            rows.sort(
-                key=lambda row: index_key(self._eval(key.expr, row)),
-                reverse=key.descending,
-            )
+            value = compile_expr(key.expr)
+            rows.sort(key=lambda row: index_key(value(row)), reverse=key.descending)
         return rows
 
     # ------------------------------------------------------------------
@@ -472,167 +466,292 @@ class CypherExecutor:
         for item in items:
             classify(item.expr)
 
+        key_fns = [compile_expr(expr) for expr in group_exprs]
+        arguments = [
+            None if call.star else _compile_first_argument(call) for call in agg_calls
+        ]
+        key_of = _group_key(key_fns)
         groups: dict[tuple, tuple[list["_Acc"], Row]] = {}
         for row in rows:
-            key = tuple(_hashable(self._plain_value(self._eval(e, row))) for e in group_exprs)
+            key = key_of(row)
             entry = groups.get(key)
             if entry is None:
                 entry = ([_make_acc(call) for call in agg_calls], row)
                 groups[key] = entry
-            accs, _rep = entry
-            for call, acc in zip(agg_calls, accs):
-                if call.star:
-                    acc.add_row()
-                else:
-                    acc.add_row()
-                    acc.add(self._eval(call.args[0], row))
+            for argument, acc in zip(arguments, entry[0]):
+                acc.add_row()
+                if argument is not None:
+                    acc.add(argument(row))
         if not group_exprs and not groups:
             groups[()] = ([_make_acc(call) for call in agg_calls], {})
+        # Output items compile once; each group refills the results dict
+        # their aggregate calls read from.
+        results: dict[int, Any] = {}
+        outputs = [(item.output_name(), compile_expr(item.expr, results)) for item in items]
         out: list[Row] = []
         for accs, representative in groups.values():
-            results = {id(call): acc.result() for call, acc in zip(agg_calls, accs)}
-            projected: Row = {}
-            for item in items:
-                projected[item.output_name()] = self._eval(
-                    item.expr, representative, agg_results=results
-                )
-            out.append(projected)
+            results.clear()
+            results.update((id(call), acc.result()) for call, acc in zip(agg_calls, accs))
+            out.append({name: fn(representative) for name, fn in outputs})
         return out
 
     # ------------------------------------------------------------------
-    # Expression evaluation
-    # ------------------------------------------------------------------
-    def _eval(self, expr: CypherExpr, row: Row, agg_results: dict[int, Any] | None = None) -> Any:
-        if agg_results is not None and isinstance(expr, Func) and expr.name.lower() in AGGREGATES:
-            return agg_results[id(expr)]
-        if isinstance(expr, Lit):
-            return expr.value
-        if isinstance(expr, Var):
-            if expr.name not in row:
-                raise ExecutionError(f"unbound variable {expr.name!r}")
-            return row[expr.name]
-        if isinstance(expr, Prop):
-            base = row.get(expr.var)
-            if base is None:
-                return None
-            if isinstance(base, NodeHandle):
-                return base.get(expr.name)
-            if isinstance(base, dict):
-                return base.get(expr.name)
-            raise ExecutionError(f"cannot access property on {type(base).__name__}")
-        if isinstance(expr, Bin):
-            return self._eval_bin(expr, row, agg_results)
-        if isinstance(expr, Un):
-            value = self._eval(expr.operand, row, agg_results)
-            if expr.op == "NOT":
+    def _materialize_output(self, row: Row, items: tuple[WithItem, ...]) -> Any:
+        if len(items) == 1:
+            return _plain_value(row[items[0].output_name()])
+        return {item.output_name(): _plain_value(row[item.output_name()]) for item in items}
+
+
+def _plain(row: Row) -> dict[str, Any]:
+    return {key: _plain_value(value) for key, value in row.items()}
+
+
+def _plain_value(value: Any) -> Any:
+    if isinstance(value, NodeHandle):
+        return value.materialize()
+    return value
+
+
+# ----------------------------------------------------------------------
+# Expression compilation
+# ----------------------------------------------------------------------
+
+Compiled = Callable[[Row], Any]
+
+
+def compile_expr(expr: CypherExpr, aggregates: dict[int, Any] | None = None) -> Compiled:
+    """Compile a Cypher expression into a ``row -> value`` closure, once.
+
+    With *aggregates*, an aggregate call reads its result from that dict
+    (keyed by the call node's ``id``) when the closure runs, so one
+    compiled projection serves every group.  Without it, evaluating an
+    aggregate raises.  AND/OR evaluate both operands, and errors surface
+    when a closure runs, never at compile time.
+    """
+    if isinstance(expr, Lit):
+        value = expr.value
+        return lambda row: value
+    if isinstance(expr, Var):
+        return _compile_var(expr.name)
+    if isinstance(expr, Prop):
+        return _compile_prop(expr.var, expr.name)
+    if isinstance(expr, Bin):
+        return _compile_bin(expr, aggregates)
+    if isinstance(expr, Un):
+        operand = compile_expr(expr.operand, aggregates)
+        if expr.op == "NOT":
+
+            def negation(row: Row) -> Any:
+                value = operand(row)
                 return None if value is None else not bool(value)
+
+            return negation
+
+        def minus(row: Row) -> Any:
+            value = operand(row)
             return None if value is None else -value
-        if isinstance(expr, IsNull):
-            value = self._eval(expr.operand, row, agg_results)
-            result = value is None
-            return not result if expr.negated else result
-        if isinstance(expr, MapLiteral):
-            return {
-                key: self._plain_value(self._eval(value, row, agg_results))
-                for key, value in expr.entries
-            }
-        if isinstance(expr, MapProjection):
-            return self._eval_map_projection(expr, row, agg_results)
-        if isinstance(expr, Func):
-            return self._eval_func(expr, row, agg_results)
+
+        return minus
+    if isinstance(expr, IsNull):
+        operand = compile_expr(expr.operand, aggregates)
+        negated = expr.negated
+        return lambda row: (operand(row) is None) is not negated
+    if isinstance(expr, MapLiteral):
+        entries = [(key, compile_expr(value, aggregates)) for key, value in expr.entries]
+        return lambda row: {key: _plain_value(fn(row)) for key, fn in entries}
+    if isinstance(expr, MapProjection):
+        return _compile_map_projection(expr, aggregates)
+    if isinstance(expr, Func):
+        return _compile_func(expr, aggregates)
+
+    def unsupported(row: Row) -> Any:
         raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
 
-    def _eval_bin(self, expr: Bin, row: Row, agg_results) -> Any:
-        if expr.op in ("AND", "OR"):
-            left = self._eval(expr.left, row, agg_results)
-            right = self._eval(expr.right, row, agg_results)
-            if expr.op == "AND":
-                if left is False or right is False:
-                    return False
-                if left is None or right is None:
-                    return None
-                return bool(left) and bool(right)
-            if left is True or right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return bool(left) or bool(right)
-        left = self._eval(expr.left, row, agg_results)
-        right = self._eval(expr.right, row, agg_results)
-        if left is None or right is None:
-            return None
-        if expr.op == "=":
-            return left == right
-        if expr.op == "!=":
-            return left != right
-        if expr.op in (">", "<", ">=", "<="):
-            lk, rk = index_key(left), index_key(right)
-            return {">": lk > rk, "<": lk < rk, ">=": lk >= rk, "<=": lk <= rk}[expr.op]
-        try:
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            if expr.op == "/":
-                return left / right
-            if expr.op == "%":
-                return left % right
-        except (TypeError, ZeroDivisionError):
-            return None
-        raise ExecutionError(f"unknown operator {expr.op!r}")
+    return unsupported
 
-    def _eval_map_projection(self, expr: MapProjection, row: Row, agg_results) -> dict[str, Any]:
-        base = row.get(expr.var)
+
+def _compile_var(name: str) -> Compiled:
+    def var(row: Row) -> Any:
+        try:
+            return row[name]
+        except KeyError:
+            raise ExecutionError(f"unbound variable {name!r}") from None
+
+    return var
+
+
+def _compile_prop(var: str, name: str) -> Compiled:
+    def prop(row: Row) -> Any:
+        base = row.get(var)
+        if base.__class__ is NodeHandle:
+            # NodeHandle.get, inlined: the record-layout read, absent as null.
+            value = base.store.read_property(base.node_id, name)
+            return None if value is SENTINEL_MISSING else value
+        if base is None:
+            return None
+        if isinstance(base, (NodeHandle, dict)):
+            return base.get(name)
+        raise ExecutionError(f"cannot access property on {type(base).__name__}")
+
+    return prop
+
+
+def _compile_bin(expr: Bin, aggregates: dict[int, Any] | None) -> Compiled:
+    op = expr.op
+    left = compile_expr(expr.left, aggregates)
+    right = compile_expr(expr.right, aggregates)
+    if op in ("AND", "OR"):
+        # Kleene logic; both sides are always evaluated.
+        decisive, other = (False, True) if op == "AND" else (True, False)
+
+        def logical(row: Row) -> Any:
+            a = left(row)
+            b = right(row)
+            if a is decisive or b is decisive:
+                return decisive
+            if a is None or b is None:
+                return None
+            return bool(a) and bool(b) if op == "AND" else bool(a) or bool(b)
+
+        return logical
+    compare = _KEY_COMPARISONS.get(op)
+    if compare is not None:
+        return _compile_comparison(compare, left, right, expr.right)
+    apply = _BINARY.get(op)
+    if apply is None:
+
+        def unknown(row: Row) -> Any:
+            if left(row) is None or right(row) is None:
+                return None
+            raise ExecutionError(f"unknown operator {op!r}")
+
+        return unknown
+    if op in ("=", "!=") and isinstance(expr.right, Lit) and expr.right.value is not None:
+        constant = expr.right.value
+        return lambda row: None if (a := left(row)) is None else apply(a, constant)
+
+    def binary(row: Row) -> Any:
+        a = left(row)
+        b = right(row)
+        if a is None or b is None:
+            return None
+        try:
+            return apply(a, b)
+        except (TypeError, ZeroDivisionError):
+            return None  # arithmetic on bad types or by zero is null
+
+    return binary
+
+
+def _compile_comparison(
+    compare: Callable[[Any, Any], bool], left: Compiled, right: Compiled, right_expr: CypherExpr
+) -> Compiled:
+    """Ordering comparison in index-key order, null when either side is."""
+    constant = right_expr.value if isinstance(right_expr, Lit) else None
+    rank = SAME_RANK_TYPES.get(constant.__class__)
+    if rank is not None and constant == constant:  # a non-NaN number or string
+        constant_key = index_key(constant)
+
+        def against_constant(row: Row) -> Any:
+            value = left(row)
+            if value is None:
+                return None
+            if SAME_RANK_TYPES.get(value.__class__) == rank:
+                return compare(value, constant)
+            return compare(index_key(value), constant_key)
+
+        return against_constant
+
+    def comparison(row: Row) -> Any:
+        a = left(row)
+        b = right(row)
+        if a is None or b is None:
+            return None
+        rank_a = SAME_RANK_TYPES.get(a.__class__)
+        # ``a is b`` keeps a NaN equal to itself, as its key tuple is.
+        if rank_a is not None and rank_a == SAME_RANK_TYPES.get(b.__class__) and a is not b:
+            return compare(a, b)
+        return compare(index_key(a), index_key(b))
+
+    return comparison
+
+
+def _compile_map_projection(
+    expr: MapProjection, aggregates: dict[int, Any] | None
+) -> Compiled:
+    var, include_all, extra_vars = expr.var, expr.include_all, expr.extra_vars
+    entries = [(key, compile_expr(value, aggregates)) for key, value in expr.entries]
+
+    def map_projection(row: Row) -> dict[str, Any]:
+        base = row.get(var)
         out: dict[str, Any] = {}
-        if expr.include_all:
+        if include_all:
             if isinstance(base, NodeHandle):
                 out.update(base.materialize())
             elif isinstance(base, dict):
                 out.update(base)
-        for key, value in expr.entries:
-            out[key] = self._plain_value(self._eval(value, row, agg_results))
-        for name in expr.extra_vars:
-            out[name] = self._plain_value(row.get(name))
+        for key, fn in entries:
+            out[key] = _plain_value(fn(row))
+        for name in extra_vars:
+            out[name] = _plain_value(row.get(name))
         return out
 
-    def _eval_func(self, expr: Func, row: Row, agg_results) -> Any:
-        name = expr.name.lower()
-        if name in AGGREGATES:
+    return map_projection
+
+
+def _compile_func(expr: Func, aggregates: dict[int, Any] | None) -> Compiled:
+    name = expr.name.lower()
+    if name in AGGREGATES:
+        if aggregates is not None:
+            slot = id(expr)
+            return lambda row: aggregates[slot]
+
+        def outside(row: Row) -> Any:
             raise ExecutionError(f"aggregate {expr.name} outside aggregation context")
-        args = [self._eval(arg, row, agg_results) for arg in expr.args]
-        if name == "upper":
-            return None if args[0] is None else str(args[0]).upper()
-        if name == "lower":
-            return None if args[0] is None else str(args[0]).lower()
-        if name in ("tointeger", "toint"):
-            return None if args[0] is None else int(float(args[0]))
-        if name == "tostring":
-            return None if args[0] is None else str(args[0])
-        if name == "abs":
-            return None if args[0] is None else abs(args[0])
-        if name == "size":
-            return None if args[0] is None else len(args[0])
-        # apoc.convert.* arrives as nested idents; parser flattens to one name.
-        raise ExecutionError(f"unknown function {expr.name!r}")
 
-    # ------------------------------------------------------------------
-    def _truthy(self, value: Any) -> bool:
-        return value is True
+        return outside
+    args = [compile_expr(arg, aggregates) for arg in expr.args]
+    func = _FUNCTIONS.get(name)
 
-    def _plain(self, row: Row) -> dict[str, Any]:
-        return {key: self._plain_value(value) for key, value in row.items()}
+    def call(row: Row) -> Any:
+        values = [fn(row) for fn in args]  # every argument is evaluated
+        if func is None:
+            # apoc.convert.* arrives as nested idents; parser flattens to one name.
+            raise ExecutionError(f"unknown function {expr.name!r}")
+        return None if values[0] is None else func(values[0])
 
-    def _plain_value(self, value: Any) -> Any:
-        if isinstance(value, NodeHandle):
-            return value.materialize()
-        return value
+    if len(args) == 1 and func is not None:
+        (arg,) = args
+        return lambda row: None if (value := arg(row)) is None else func(value)
+    return call
 
-    def _materialize_output(self, row: Row, items: tuple[WithItem, ...]) -> Any:
-        if len(items) == 1:
-            return self._plain_value(row[items[0].output_name()])
-        return {item.output_name(): self._plain_value(row[item.output_name()]) for item in items}
+
+_KEY_COMPARISONS = {
+    ">": operator.gt,
+    "<": operator.lt,
+    ">=": operator.ge,
+    "<=": operator.le,
+}
+
+_BINARY = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": operator.mod,
+}
+
+_FUNCTIONS: dict[str, Callable[[Any], Any]] = {
+    "upper": lambda value: str(value).upper(),
+    "lower": lambda value: str(value).lower(),
+    "tointeger": lambda value: int(float(value)),
+    "toint": lambda value: int(float(value)),
+    "tostring": str,
+    "abs": abs,
+    "size": len,
+}
 
 
 # ----------------------------------------------------------------------
@@ -765,19 +884,20 @@ class _CountAcc(_Acc):
 
 
 class _MinMaxAcc(_Acc):
+    """min/max in index-key order; the best value's key is kept beside it."""
+
     def __init__(self, is_min: bool) -> None:
         self.is_min = is_min
         self.best: Any = None
+        self.best_key: Any = None
 
     def add(self, value: Any) -> None:
         if value is None:
             return
-        if self.best is None:
+        key = index_key(value)
+        if self.best is None or (key < self.best_key if self.is_min else key > self.best_key):
             self.best = value
-        elif self.is_min and index_key(value) < index_key(self.best):
-            self.best = value
-        elif not self.is_min and index_key(value) > index_key(self.best):
-            self.best = value
+            self.best_key = key
 
     def result(self) -> Any:
         return self.best
@@ -825,6 +945,27 @@ class _StdAcc(_Acc):
 
     def result(self) -> Any:
         return math.sqrt(self.m2 / self.count) if self.count else None
+
+
+def _group_key(key_fns: list[Compiled]) -> Callable[[Row], tuple]:
+    """One row's hashable grouping key from its compiled key expressions."""
+    if not key_fns:
+        return lambda row: ()
+    if len(key_fns) == 1:
+        (fn,) = key_fns
+        return lambda row: (_hashable(_plain_value(fn(row))),)
+    return lambda row: tuple(_hashable(_plain_value(fn(row))) for fn in key_fns)
+
+
+def _compile_first_argument(call: Func) -> Compiled:
+    """An aggregate's argument; a call without one fails when it runs."""
+    if call.args:
+        return compile_expr(call.args[0])
+
+    def missing(row: Row) -> Any:
+        raise IndexError(f"aggregate {call.name} has no argument")
+
+    return missing
 
 
 def _make_acc(call: Func) -> _Acc:

@@ -18,7 +18,8 @@ expression 13:
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping
+import operator
+from typing import Any, Callable, Mapping
 
 from repro.errors import ExecutionError, PlanningError
 from repro.sqlengine.ast_nodes import (
@@ -36,9 +37,21 @@ from repro.storage.keys import SENTINEL_MISSING
 
 Row = Mapping[str, Any]  # binding alias -> record
 
+#: A compiled expression: environment in, value out.
+Compiled = Callable[[Row], Any]
+
+_NOT_CONST = object()
+
 
 class Evaluator:
-    """Evaluates scalar expressions against binding environments."""
+    """Compiles scalar expressions into closures over binding environments.
+
+    ``compile(expr)`` runs once per operator per query: column references
+    become bound lookups, operator dispatch is decided up front, and
+    operators over constants are folded.  Errors surface when a closure
+    runs, never at compile time, so a bad expression over an empty input
+    still returns an empty result.
+    """
 
     def __init__(self, dialect: str = "sql") -> None:
         if dialect not in ("sql", "sqlpp"):
@@ -46,161 +59,301 @@ class Evaluator:
         self.dialect = dialect
         self._absent_default = SENTINEL_MISSING if dialect == "sqlpp" else None
 
+    def compile(self, expr: Expression, aggregates: dict[int, Any] | None = None) -> Compiled:
+        """Compile *expr* into a ``row -> value`` closure.
+
+        With *aggregates*, aggregate calls at the top level or under binary
+        operators read their result from that dict (keyed by the call
+        node's ``id``) when the closure runs — how a grouped SELECT list is
+        shaped.  Elsewhere an aggregate raises when evaluated.
+        """
+        return self._compile(expr, aggregates)[0]
+
     # ------------------------------------------------------------------
-    # Resolution
+    # Compilation: every node becomes ``(closure, const)``, where
+    # ``const`` is its value when that is the same for every row.
     # ------------------------------------------------------------------
-    def resolve_column(self, row: Row, ref: ColumnRef) -> Any:
-        if ref.qualifier is not None:
-            try:
-                record = row[ref.qualifier]
-            except KeyError:
-                raise ExecutionError(
-                    f"unknown binding {ref.qualifier!r} in column reference {ref}"
-                ) from None
-            if not isinstance(record, dict):
+    def _compile(
+        self, expr: Expression, aggregates: dict[int, Any] | None
+    ) -> tuple[Compiled, Any]:
+        if isinstance(expr, Literal):
+            return _constant(expr.value)
+        if isinstance(expr, ColumnRef):
+            return self._column(expr), _NOT_CONST
+        if isinstance(expr, BinaryOp):
+            return self._binary(expr, aggregates)
+        if isinstance(expr, UnaryOp):
+            return self._unary(expr)
+        if isinstance(expr, IsAbsent):
+            return self._is_absent(expr)
+        if isinstance(expr, FuncCall):
+            return self._call(expr, aggregates)
+        if isinstance(expr, Star):
+            return _raising(PlanningError, "* is only valid in a SELECT list"), _NOT_CONST
+        return _raising(
+            ExecutionError, f"cannot evaluate expression node {type(expr).__name__}"
+        ), _NOT_CONST
+
+    def _column(self, ref: ColumnRef) -> Compiled:
+        name, qualifier, absent = ref.name, ref.qualifier, self._absent_default
+        if qualifier is not None:
+
+            def qualified(row: Row) -> Any:
+                try:
+                    record = row[qualifier]
+                except KeyError:
+                    raise ExecutionError(
+                        f"unknown binding {qualifier!r} in column reference {ref}"
+                    ) from None
+                if isinstance(record, dict):
+                    return record.get(name, absent)
                 # The binding is a scalar (SELECT VALUE of an expression);
                 # qualifying into it is an error in real engines too.
-                raise ExecutionError(f"binding {ref.qualifier!r} is not a record")
-            return record.get(ref.name, self._absent_default)
-        # A bare name may be a binding alias (whole record)...
-        if ref.name in row:
-            return row[ref.name]
-        # ...or an unqualified column searched across bindings.
-        for record in row.values():
-            if isinstance(record, dict) and ref.name in record:
-                return record[ref.name]
-        return self._absent_default
+                raise ExecutionError(f"binding {qualifier!r} is not a record")
 
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
-    def evaluate(self, expr: Expression, row: Row) -> Any:
-        if isinstance(expr, Literal):
-            return expr.value
-        if isinstance(expr, ColumnRef):
-            return self.resolve_column(row, expr)
-        if isinstance(expr, Star):
-            raise PlanningError("* is only valid in a SELECT list")
-        if isinstance(expr, BinaryOp):
-            return self._binary(expr, row)
-        if isinstance(expr, UnaryOp):
-            return self._unary(expr, row)
-        if isinstance(expr, IsAbsent):
-            return self._is_absent(expr, row)
-        if isinstance(expr, FuncCall):
-            return self._call(expr, row)
-        raise ExecutionError(f"cannot evaluate expression node {type(expr).__name__}")
+            return qualified
 
-    def truthy(self, value: Any) -> bool:
-        """WHERE-clause semantics: only TRUE passes (NULL/MISSING filter out)."""
-        return value is True
+        def bare(row: Row) -> Any:
+            # A bare name may be a binding alias (whole record)...
+            if name in row:
+                return row[name]
+            # ...or an unqualified column searched across bindings.
+            for record in row.values():
+                if isinstance(record, dict) and name in record:
+                    return record[name]
+            return absent
 
-    # ------------------------------------------------------------------
-    # Operators
-    # ------------------------------------------------------------------
-    def _binary(self, expr: BinaryOp, row: Row) -> Any:
+        return bare
+
+    def _binary(
+        self, expr: BinaryOp, aggregates: dict[int, Any] | None
+    ) -> tuple[Compiled, Any]:
         op = expr.op
         if op in ("AND", "OR"):
-            return self._logical(op, expr, row)
-        left = self.evaluate(expr.left, row)
-        right = self.evaluate(expr.right, row)
-        if left is SENTINEL_MISSING or right is SENTINEL_MISSING:
-            return SENTINEL_MISSING
-        if left is None or right is None:
-            return None
-        if op == "=":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op in (">", "<", ">=", "<="):
+            # Kleene logic over the flattened chain; MISSING behaves like
+            # NULL and every operand is evaluated.
+            parts = [self._compile(part, aggregates) for part in _chain(expr, op)]
+            fns = [fn for fn, _const in parts]
+            logical = _conjunction(fns) if op == "AND" else _disjunction(fns)
+            return _folded(logical, *(const for _fn, const in parts))
+        left, left_const = self._compile(expr.left, aggregates)
+        right, right_const = self._compile(expr.right, aggregates)
+        apply, message = _BINARY.get(op, (None, None))
+        if apply is None:
+
+            def unknown(row: Row) -> Any:
+                a = left(row)
+                b = right(row)
+                if a is SENTINEL_MISSING or b is SENTINEL_MISSING:
+                    return SENTINEL_MISSING
+                if a is None or b is None:
+                    return None
+                raise ExecutionError(f"unknown binary operator {op!r}")
+
+            return unknown, _NOT_CONST
+
+        def checked(a: Any, b: Any) -> Any:
+            """Apply once both sides are present; type errors are typed."""
             try:
-                if op == ">":
-                    return left > right
-                if op == "<":
-                    return left < right
-                if op == ">=":
-                    return left >= right
-                return left <= right
+                return apply(a, b)
             except TypeError:
-                raise ExecutionError(
-                    f"cannot compare {type(left).__name__} with {type(right).__name__}"
-                ) from None
-        if op == "||":
-            return str(left) + str(right)
-        try:
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                return left / right
-            if op == "%":
-                return left % right
-        except TypeError:
-            raise ExecutionError(
-                f"cannot apply {op} to {type(left).__name__} and {type(right).__name__}"
-            ) from None
-        except ZeroDivisionError:
-            return None
-        raise ExecutionError(f"unknown binary operator {op!r}")
-
-    def _logical(self, op: str, expr: BinaryOp, row: Row) -> Any:
-        """Kleene three-valued AND/OR; MISSING behaves like NULL here."""
-        left = _as_tristate(self.evaluate(expr.left, row))
-        right = _as_tristate(self.evaluate(expr.right, row))
-        if op == "AND":
-            if left is False or right is False:
-                return False
-            if left is None or right is None:
+                if message is None:
+                    raise
+                raise ExecutionError(message.format(
+                    op=op, left=type(a).__name__, right=type(b).__name__
+                )) from None
+            except ZeroDivisionError:
                 return None
-            return True
-        if left is True or right is True:
-            return True
-        if left is None or right is None:
-            return None
-        return False
 
-    def _unary(self, expr: UnaryOp, row: Row) -> Any:
-        value = self.evaluate(expr.operand, row)
-        if expr.op == "NOT":
-            state = _as_tristate(value)
-            return None if state is None else not state
-        if expr.op == "-":
-            if value is None or value is SENTINEL_MISSING:
-                return value
-            return -value
-        raise ExecutionError(f"unknown unary operator {expr.op!r}")
+        if right_const is not _NOT_CONST and right_const is not None and (
+            right_const is not SENTINEL_MISSING
+        ):
+            # ``col >= 38``: the constant is never absent, so an absent
+            # left side is the answer itself.
+            constant = right_const
 
-    def _is_absent(self, expr: IsAbsent, row: Row) -> bool:
-        value = self.evaluate(expr.operand, row)
-        if self.dialect == "sql":
-            # SQL has no MISSING: both absent states are NULL.
-            result = value is None or value is SENTINEL_MISSING
+            def with_constant(row: Row) -> Any:
+                a = left(row)
+                if a is None or a is SENTINEL_MISSING:
+                    return a
+                try:
+                    return apply(a, constant)
+                except (TypeError, ZeroDivisionError):
+                    return checked(a, constant)
+
+            return _folded(with_constant, left_const)
+
+        def binary(row: Row) -> Any:
+            a = left(row)
+            b = right(row)
+            if a is SENTINEL_MISSING or b is SENTINEL_MISSING:
+                return SENTINEL_MISSING
+            if a is None or b is None:
+                return None
+            try:
+                return apply(a, b)
+            except (TypeError, ZeroDivisionError):
+                return checked(a, b)
+
+        return _folded(binary, left_const, right_const)
+
+    def _unary(self, expr: UnaryOp) -> tuple[Compiled, Any]:
+        operand, const = self._compile(expr.operand, None)
+        op = expr.op
+        if op == "NOT":
+
+            def negation(row: Row) -> Any:
+                value = operand(row)
+                if value is None or value is SENTINEL_MISSING:
+                    return None
+                return not value
+
+            return _folded(negation, const)
+        if op == "-":
+
+            def minus(row: Row) -> Any:
+                value = operand(row)
+                if value is None or value is SENTINEL_MISSING:
+                    return value
+                return -value
+
+            return _folded(minus, const)
+
+        def unknown(row: Row) -> Any:
+            operand(row)
+            raise ExecutionError(f"unknown unary operator {op!r}")
+
+        return unknown, _NOT_CONST
+
+    def _is_absent(self, expr: IsAbsent) -> tuple[Compiled, Any]:
+        operand, const = self._compile(expr.operand, None)
+        if self.dialect == "sql" or expr.mode not in ("null", "missing"):
+            # SQL has no MISSING: both absent states are NULL; SQL++'s
+            # IS UNKNOWN is null or missing.
+            def test(value: Any) -> bool:
+                return value is None or value is SENTINEL_MISSING
         elif expr.mode == "null":
-            result = value is None
-        elif expr.mode == "missing":
-            result = value is SENTINEL_MISSING
-        else:  # unknown = null or missing
-            result = value is None or value is SENTINEL_MISSING
-        return not result if expr.negated else result
+            def test(value: Any) -> bool:
+                return value is None
+        else:
+            def test(value: Any) -> bool:
+                return value is SENTINEL_MISSING
+        negated = expr.negated
 
-    # ------------------------------------------------------------------
-    # Scalar functions
-    # ------------------------------------------------------------------
-    def _call(self, expr: FuncCall, row: Row) -> Any:
+        def is_absent(row: Row) -> bool:
+            return test(operand(row)) is not negated
+
+        return _folded(is_absent, const)
+
+    def _call(self, expr: FuncCall, aggregates: dict[int, Any] | None) -> tuple[Compiled, Any]:
         name = expr.name.upper()
         if name in AGGREGATE_FUNCTIONS:
-            raise PlanningError(
-                f"aggregate {name} must be handled by an aggregation operator"
-            )
-        args = [self.evaluate(arg, row) for arg in expr.args]
-        if any(value is SENTINEL_MISSING for value in args):
-            return SENTINEL_MISSING
-        if any(value is None for value in args):
-            return None
-        return apply_scalar_function(name, args)
+            if aggregates is not None:
+                slot = id(expr)
+                return (lambda row: aggregates[slot]), _NOT_CONST
+            return _raising(
+                PlanningError, f"aggregate {name} must be handled by an aggregation operator"
+            ), _NOT_CONST
+        parts = [self._compile(arg, None) for arg in expr.args]
+        fns = [fn for fn, _const in parts]
+
+        def call(row: Row) -> Any:
+            args = [fn(row) for fn in fns]
+            for value in args:
+                if value is SENTINEL_MISSING:
+                    return SENTINEL_MISSING
+            for value in args:
+                if value is None:
+                    return None
+            return apply_scalar_function(name, args)
+
+        return _folded(call, *(const for _fn, const in parts))
+
+
+def _constant(value: Any) -> tuple[Compiled, Any]:
+    return (lambda row: value), value
+
+
+def _raising(error: type[Exception], message: str) -> Compiled:
+    def fail(row: Row) -> Any:
+        raise error(message)
+
+    return fail
+
+
+def _folded(fn: Compiled, *consts: Any) -> tuple[Compiled, Any]:
+    """Fold *fn* into a constant when its operands are all constant.
+
+    A fold that raises (``'a' > 1``) is abandoned: the closure raises per
+    row instead, so an empty input still succeeds.
+    """
+    if any(const is _NOT_CONST for const in consts):
+        return fn, _NOT_CONST
+    try:
+        value = fn({})
+    except Exception:
+        return fn, _NOT_CONST
+    if isinstance(value, (dict, list)):
+        return fn, _NOT_CONST
+    return _constant(value)
+
+
+def _chain(expr: Expression, op: str) -> list[Expression]:
+    """The operands of a left-to-right chain of one associative operator."""
+    if isinstance(expr, BinaryOp) and expr.op == op:
+        return _chain(expr.left, op) + _chain(expr.right, op)
+    return [expr]
+
+
+def _conjunction(fns: list[Compiled]) -> Compiled:
+    def conjunction(row: Row) -> Any:
+        result: Any = True
+        for fn in fns:
+            value = fn(row)
+            if value is None or value is SENTINEL_MISSING:
+                if result is True:
+                    result = None
+            elif not value:
+                result = False
+        return result
+
+    return conjunction
+
+
+def _disjunction(fns: list[Compiled]) -> Compiled:
+    def disjunction(row: Row) -> Any:
+        result: Any = False
+        for fn in fns:
+            value = fn(row)
+            if value is None or value is SENTINEL_MISSING:
+                if result is False:
+                    result = None
+            elif value:
+                result = True
+        return result
+
+    return disjunction
+
+
+_COMPARE_ERROR = "cannot compare {left} with {right}"
+_APPLY_ERROR = "cannot apply {op} to {left} and {right}"
+
+#: Binary operator -> (function, the message a TypeError becomes; None
+#: lets it propagate as is).  Division by zero is NULL.
+_BINARY: dict[str, tuple[Callable[[Any, Any], Any], str | None]] = {
+    "=": (operator.eq, None),
+    "!=": (operator.ne, None),
+    ">": (operator.gt, _COMPARE_ERROR),
+    "<": (operator.lt, _COMPARE_ERROR),
+    ">=": (operator.ge, _COMPARE_ERROR),
+    "<=": (operator.le, _COMPARE_ERROR),
+    "||": (lambda a, b: str(a) + str(b), None),
+    "+": (operator.add, _APPLY_ERROR),
+    "-": (operator.sub, _APPLY_ERROR),
+    "*": (operator.mul, _APPLY_ERROR),
+    "/": (operator.truediv, _APPLY_ERROR),
+    "%": (operator.mod, _APPLY_ERROR),
+}
 
 
 def apply_scalar_function(name: str, args: list[Any]) -> Any:
@@ -233,10 +386,3 @@ _SCALAR_FUNCTIONS = {
     "TRIM": lambda s: str(s).strip(),
     "CONCAT": lambda *parts: "".join(str(part) for part in parts),
 }
-
-
-def _as_tristate(value: Any) -> bool | None:
-    """Collapse a value into Kleene logic: True / False / unknown(None)."""
-    if value is None or value is SENTINEL_MISSING:
-        return None
-    return bool(value)

@@ -15,7 +15,7 @@ results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import ExecutionError, PlanningError
 from repro.exec.kernels import Descending, finalize_avg, finalize_std
@@ -375,10 +375,10 @@ class FilterOp(PhysicalPlan):
         return (self.child,)
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Any]:
-        evaluate = ctx.evaluator.evaluate
-        truthy = ctx.evaluator.truthy
+        predicate = ctx.evaluator.compile(self.predicate)
         for row in self.child.execute(ctx):
-            if truthy(evaluate(self.predicate, row)):
+            # WHERE semantics: only TRUE passes (NULL/MISSING filter out).
+            if predicate(row) is True:
                 yield row
 
     def describe(self) -> str:
@@ -463,9 +463,10 @@ class ProjectOp(PhysicalPlan):
         return (self.child,)
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Any]:
+        project = compile_projection(ctx.evaluator, self.items, self.select_value)
         seen: set | None = set() if self.distinct else None
         for row in self.child.execute(ctx):
-            record = project_row(ctx.evaluator, row, self.items, self.select_value)
+            record = project(row)
             if seen is not None:
                 key = _dedup_key(record)
                 if key in seen:
@@ -494,17 +495,7 @@ class SortOp(PhysicalPlan):
         return (self.child,)
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Any]:
-        evaluate = ctx.evaluator.evaluate
-
-        def key_of(row: Any) -> tuple:
-            return tuple(
-                Descending(key) if order.descending else key
-                for order, key in (
-                    (order, index_key(_absent_to_none(evaluate(order.expr, row))))
-                    for order in self.keys
-                )
-            )
-
+        key_of = compile_sort_key(ctx.evaluator, self.keys)
         sorter = SpillSorter(ctx.memory)
         try:
             for row in self.child.execute(ctx):
@@ -534,13 +525,7 @@ class TopKOp(PhysicalPlan):
     def execute(self, ctx: ExecutionContext) -> Iterator[Any]:
         import heapq
 
-        def sort_key(row: Any) -> tuple:
-            parts = []
-            for order in self.keys:
-                key = index_key(_absent_to_none(ctx.evaluator.evaluate(order.expr, row)))
-                parts.append(Descending(key) if order.descending else key)
-            return tuple(parts)
-
+        sort_key = compile_sort_key(ctx.evaluator, self.keys)
         decorated = ((sort_key(row), index, row) for index, row in enumerate(self.child.execute(ctx)))
         kept = heapq.nsmallest(self.k, decorated, key=lambda t: (t[0], t[1]))
         # The bounded heap holds at most k rows; account them so the peak
@@ -571,20 +556,10 @@ class RecordSortOp(PhysicalPlan):
         return (self.child,)
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Any]:
-        evaluate = ctx.evaluator.evaluate
-
-        def env_of(record: Any) -> dict[str, Any]:
-            return {"t": record if isinstance(record, dict) else {"value": record}}
+        env_key = compile_sort_key(ctx.evaluator, self.keys)
 
         def key_of(record: Any) -> tuple:
-            env = env_of(record)
-            return tuple(
-                Descending(key) if order.descending else key
-                for order, key in (
-                    (order, index_key(_absent_to_none(evaluate(order.expr, env))))
-                    for order in self.keys
-                )
-            )
+            return env_key({"t": record if isinstance(record, dict) else {"value": record}})
 
         sorter = SpillSorter(ctx.memory)
         try:
@@ -653,14 +628,15 @@ class HashJoin(PhysicalPlan):
         return (self.left, self.right)
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Any]:
-        evaluate = ctx.evaluator.evaluate
+        left_key = ctx.evaluator.compile(self.left_key)
+        right_key = ctx.evaluator.compile(self.right_key)
         table: dict[Any, list[Any]] = {}
         # The build side is accounted but never spilled: a partitioned
         # (Grace) hash join is out of scope, so under a tiny budget the
         # build simply materializes — the documented fallback.
         build_bytes = 0
         for row in self.right.execute(ctx):
-            key = evaluate(self.right_key, row)
+            key = right_key(row)
             if key is None or key is SENTINEL_MISSING:
                 continue
             table.setdefault(index_key(key), []).append(row)
@@ -669,7 +645,7 @@ class HashJoin(PhysicalPlan):
             ctx.memory.reserve(nbytes)
         try:
             for left_row in self.left.execute(ctx):
-                key = evaluate(self.left_key, left_row)
+                key = left_key(left_row)
                 if key is None or key is SENTINEL_MISSING:
                     continue
                 for right_row in table.get(index_key(key), ()):
@@ -710,9 +686,9 @@ class IndexNestedLoopJoin(PhysicalPlan):
     def execute(self, ctx: ExecutionContext) -> Iterator[Any]:
         table = ctx.catalog.table(self.inner_table)
         index = table.indexes[self.inner_index]
-        evaluate = ctx.evaluator.evaluate
+        outer_key = ctx.evaluator.compile(self.outer_key)
         for outer_row in self.outer.execute(ctx):
-            key = evaluate(self.outer_key, outer_row)
+            key = outer_key(outer_row)
             if key is None or key is SENTINEL_MISSING:
                 continue
             for rid in index.tree.search(index_key(key)):
@@ -937,6 +913,19 @@ class _Std(_Accumulator):
         return finalize_std(self.count, self.total, self.total_sq)
 
 
+def aggregate_argument(evaluator: Evaluator, call: FuncCall) -> Callable[[Any], Any] | None:
+    """The compiled argument of one aggregate call; None for ``COUNT(*)``."""
+    if call.star:
+        return None
+    if not call.args:
+
+        def no_argument(row: Any) -> Any:
+            raise IndexError(f"{call.name} has no argument")
+
+        return no_argument
+    return evaluator.compile(call.args[0])
+
+
 def make_accumulator(call: FuncCall) -> _Accumulator:
     """Build the accumulator for one aggregate call."""
     name = call.name.upper()
@@ -990,27 +979,23 @@ class HashAggregate(PhysicalPlan):
         return (self.child,)
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Any]:
-        evaluate = ctx.evaluator.evaluate
+        evaluator = ctx.evaluator
+        key_of = _compile_group_key(evaluator, self.group_by)
+        arguments = [aggregate_argument(evaluator, call) for call in self._agg_calls]
+        shape = compile_group_output(evaluator, self.items, self.select_value)
         groups = SpillableGroups(ctx.memory)
         scalar = not self.group_by
         try:
             for row in self.child.execute(ctx):
-                if scalar:
-                    key = ()
-                else:
-                    key = tuple(
-                        index_key(_absent_to_none(evaluate(expr, row)))
-                        for expr in self.group_by
-                    )
+                key = key_of(row)
                 entry = groups.get(key)
                 if entry is None:
                     entry = ([make_accumulator(call) for call in self._agg_calls], row)
                     groups.insert(key, entry, estimate_record_bytes(row))
-                accumulators, _representative = entry
-                for call, accumulator in zip(self._agg_calls, accumulators):
+                for argument, accumulator in zip(arguments, entry[0]):
                     accumulator.add_row()
-                    if not call.star:
-                        accumulator.add(evaluate(call.args[0], row))
+                    if argument is not None:
+                        accumulator.add(argument(row))
             if scalar and not len(groups) and not groups.spilled:
                 # SQL: aggregates over an empty input still produce one row.
                 accumulators = [make_accumulator(call) for call in self._agg_calls]
@@ -1020,20 +1005,9 @@ class HashAggregate(PhysicalPlan):
                     id(call): accumulator.result()
                     for call, accumulator in zip(self._agg_calls, accumulators)
                 }
-                yield self._shape_output(ctx, representative, results)
+                yield shape(representative, results)
         finally:
             groups.close()
-
-    def _shape_output(self, ctx: ExecutionContext, row: Any, agg_results: dict[int, Any]) -> Any:
-        values: dict[str, Any] = {}
-        single_value: Any = None
-        for item in self.items:
-            value = _eval_with_aggregates(ctx.evaluator, item.expr, row, agg_results)
-            if self.select_value:
-                single_value = value
-            else:
-                values[item.output_name()] = value
-        return single_value if self.select_value else values
 
     def describe(self) -> str:
         keys = ", ".join(str(expr) for expr in self.group_by) or "<scalar>"
@@ -1065,31 +1039,41 @@ def _collect_aggregates(items: tuple[SelectItem, ...]) -> list[FuncCall]:
     return calls
 
 
-def _eval_with_aggregates(
-    evaluator: Evaluator, expr: Expression, row: Any, agg_results: dict[int, Any]
-) -> Any:
-    """Evaluate an output expression, substituting computed aggregates."""
-    from repro.sqlengine.ast_nodes import AGGREGATE_FUNCTIONS, BinaryOp, IsAbsent, UnaryOp
-
-    if isinstance(expr, FuncCall) and expr.name.upper() in AGGREGATE_FUNCTIONS:
-        return agg_results[id(expr)]
-    if isinstance(expr, BinaryOp):
-        rewritten = BinaryOp(
-            expr.op,
-            _LiteralWrap(_eval_with_aggregates(evaluator, expr.left, row, agg_results)),
-            _LiteralWrap(_eval_with_aggregates(evaluator, expr.right, row, agg_results)),
-        )
-        return evaluator.evaluate(rewritten, row)
-    if isinstance(expr, (UnaryOp, IsAbsent)):
-        # No benchmark query nests aggregates under these; evaluate directly.
-        return evaluator.evaluate(expr, row)
-    return evaluator.evaluate(expr, row)
+def _compile_group_key(
+    evaluator: Evaluator, group_by: tuple[Expression, ...]
+) -> Callable[[Any], tuple]:
+    """A row's grouping key: NULL and MISSING group together."""
+    fns = [evaluator.compile(expr) for expr in group_by]
+    if not fns:
+        return lambda row: ()
+    if len(fns) == 1:
+        (fn,) = fns
+        return lambda row: (index_key(_absent_to_none(fn(row))),)
+    return lambda row: tuple(index_key(_absent_to_none(fn(row))) for fn in fns)
 
 
-def _LiteralWrap(value: Any):
-    from repro.sqlengine.ast_nodes import Literal
+def compile_group_output(
+    evaluator: Evaluator, items: tuple[SelectItem, ...], select_value: bool
+) -> Callable[[Any, dict[int, Any]], Any]:
+    """Compile a grouped SELECT list: ``(representative row, results) -> output``.
 
-    return Literal(value)
+    *results* maps each aggregate call's ``id`` to its value for the group;
+    aggregates at the top of an item or under binary operators read it,
+    and everything else evaluates against the representative row.
+    """
+    results: dict[int, Any] = {}
+    outputs = [(item.output_name(), evaluator.compile(item.expr, results)) for item in items]
+
+    def shape(row: Any, agg_results: dict[int, Any]) -> Any:
+        results.update(agg_results)
+        if select_value:
+            value: Any = None
+            for _name, fn in outputs:
+                value = fn(row)
+            return value
+        return {name: fn(row) for name, fn in outputs}
+
+    return shape
 
 
 # ----------------------------------------------------------------------
@@ -1097,43 +1081,60 @@ def _LiteralWrap(value: Any):
 # ----------------------------------------------------------------------
 
 
-def project_row(
-    evaluator: Evaluator,
-    row: Any,
-    items: tuple[SelectItem, ...],
-    select_value: bool,
-) -> Any:
-    """Evaluate a SELECT list against one environment."""
+def compile_projection(
+    evaluator: Evaluator, items: tuple[SelectItem, ...], select_value: bool
+) -> Callable[[Any], Any]:
+    """Compile a SELECT list into an ``environment -> record`` function."""
     if select_value:
-        value = evaluator.evaluate(items[0].expr, row)
-        return _absent_to_none_shallow(value)
-    record: dict[str, Any] = {}
+        value_of = evaluator.compile(items[0].expr)
+        return lambda row: _absent_to_none(value_of(row))
+    steps: list[tuple[str | None, Any]] = []
     for item in items:
         if isinstance(item.expr, Star):
-            if item.expr.qualifier is not None:
-                source = row.get(item.expr.qualifier)
-                if isinstance(source, dict):
-                    record.update(source)
-            else:
-                for binding in row.values():
-                    if isinstance(binding, dict):
-                        record.update(binding)
-            continue
-        value = evaluator.evaluate(item.expr, row)
-        if value is SENTINEL_MISSING:
-            continue  # SQL++: MISSING fields vanish from constructed records
-        record[item.output_name()] = value
-    return record
+            steps.append((None, item.expr.qualifier))
+        else:
+            steps.append((item.output_name(), evaluator.compile(item.expr)))
+
+    def project(row: Any) -> dict[str, Any]:
+        record: dict[str, Any] = {}
+        for name, step in steps:
+            if name is None:
+                if step is not None:
+                    source = row.get(step)
+                    if isinstance(source, dict):
+                        record.update(source)
+                else:
+                    for binding in row.values():
+                        if isinstance(binding, dict):
+                            record.update(binding)
+                continue
+            value = step(row)
+            if value is SENTINEL_MISSING:
+                continue  # SQL++: MISSING fields vanish from constructed records
+            record[name] = value
+        return record
+
+    return project
+
+
+def compile_sort_key(
+    evaluator: Evaluator, keys: tuple[OrderItem, ...]
+) -> Callable[[Any], tuple]:
+    """Compile ORDER BY keys into one decorated sort key per row."""
+    parts = [(evaluator.compile(order.expr), order.descending) for order in keys]
+
+    def sort_key(row: Any) -> tuple:
+        key = []
+        for value_of, descending in parts:
+            part = index_key(_absent_to_none(value_of(row)))
+            key.append(Descending(part) if descending else part)
+        return tuple(key)
+
+    return sort_key
 
 
 def _absent_to_none(value: Any) -> Any:
     return None if value is SENTINEL_MISSING else value
-
-
-def _absent_to_none_shallow(value: Any) -> Any:
-    if value is SENTINEL_MISSING:
-        return None
-    return value
 
 
 def _shape_scalar(value: Any, item: SelectItem, select_value: bool) -> Any:

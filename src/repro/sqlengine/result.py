@@ -239,8 +239,17 @@ class StreamingResultSet(ResultSet):
 
     def iter_records(self):
         """Stream records one at a time without buffering them (one-shot)."""
-        while self._records:
-            yield self._records.pop(0)
+        # Already-materialized records are walked by index (popping the
+        # list head per record is quadratic); the consumed prefix is
+        # dropped when the walk ends or is abandoned.
+        buffered = self._records
+        taken = 0
+        try:
+            while taken < len(buffered):
+                taken += 1
+                yield buffered[taken - 1]
+        finally:
+            del buffered[:taken]
         source = self._source
         if source is not None:
             try:

@@ -52,6 +52,12 @@ _RANK_STRING = 4
 _RANK_TUPLE = 5
 
 
+#: Ranks of the types whose values order exactly as their index keys do
+#: when both sides share a rank, so compiled comparisons can skip building
+#: the keys.  Booleans are absent on purpose: they rank below numbers.
+SAME_RANK_TYPES = {int: _RANK_NUMBER, float: _RANK_NUMBER, str: _RANK_STRING}
+
+
 class KeyOrder(enum.Enum):
     """Scan direction for ordered index traversal."""
 

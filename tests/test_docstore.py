@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.docstore import MongoDatabase
-from repro.docstore.exprs import ExprEvaluator, get_path
+from repro.docstore import pipeline as pipeline_module
+from repro.docstore.exprs import compile_expr, get_path
 from repro.errors import CatalogError, ExecutionError, UnsupportedOperationError
 from repro.storage.keys import SENTINEL_MISSING
 
@@ -30,60 +31,58 @@ def db():
 
 class TestExprEvaluator:
     def setup_method(self):
-        self.ev = ExprEvaluator()
         self.doc = {"a": 3, "b": "x", "nested": {"c": 7}, "n": None}
 
     def test_field_paths(self):
-        assert self.ev.evaluate("$a", self.doc) == 3
-        assert self.ev.evaluate("$nested.c", self.doc) == 7
-        assert self.ev.evaluate("$missing", self.doc) is SENTINEL_MISSING
+        assert compile_expr("$a")(self.doc) == 3
+        assert compile_expr("$nested.c")(self.doc) == 7
+        assert compile_expr("$missing")(self.doc) is SENTINEL_MISSING
 
     def test_get_path_on_non_dict(self):
         assert get_path({"a": 5}, "a.b") is SENTINEL_MISSING
 
     def test_variables(self):
-        ev = ExprEvaluator({"v": 42})
-        assert ev.evaluate("$$v", self.doc) == 42
+        assert compile_expr("$$v", {"v": 42})(self.doc) == 42
         with pytest.raises(ExecutionError):
-            self.ev.evaluate("$$undefined", self.doc)
+            compile_expr("$$undefined")(self.doc)
 
     def test_comparisons(self):
-        assert self.ev.evaluate({"$eq": ["$a", 3]}, self.doc) is True
-        assert self.ev.evaluate({"$gt": ["$a", 2]}, self.doc) is True
-        assert self.ev.evaluate({"$lte": ["$a", 2]}, self.doc) is False
+        assert compile_expr({"$eq": ["$a", 3]})(self.doc) is True
+        assert compile_expr({"$gt": ["$a", 2]})(self.doc) is True
+        assert compile_expr({"$lte": ["$a", 2]})(self.doc) is False
 
     def test_missing_sorts_below_null(self):
         """The expression-13 trick: missing < null in comparison order."""
-        assert self.ev.evaluate({"$lt": ["$missing", None]}, self.doc) is True
-        assert self.ev.evaluate({"$lt": ["$n", None]}, self.doc) is False
+        assert compile_expr({"$lt": ["$missing", None]})(self.doc) is True
+        assert compile_expr({"$lt": ["$n", None]})(self.doc) is False
 
     def test_logical_operators(self):
         expr = {"$and": [{"$eq": ["$a", 3]}, {"$eq": ["$b", "x"]}]}
-        assert self.ev.evaluate(expr, self.doc) is True
-        assert self.ev.evaluate({"$not": [{"$eq": ["$a", 3]}]}, self.doc) is False
-        assert self.ev.evaluate({"$or": [{"$eq": ["$a", 9]}, {"$eq": ["$b", "x"]}]}, self.doc)
+        assert compile_expr(expr)(self.doc) is True
+        assert compile_expr({"$not": [{"$eq": ["$a", 3]}]})(self.doc) is False
+        assert compile_expr({"$or": [{"$eq": ["$a", 9]}, {"$eq": ["$b", "x"]}]})(self.doc)
 
     def test_arithmetic(self):
-        assert self.ev.evaluate({"$add": ["$a", 2]}, self.doc) == 5
-        assert self.ev.evaluate({"$multiply": ["$a", "$a"]}, self.doc) == 9
-        assert self.ev.evaluate({"$mod": ["$a", 2]}, self.doc) == 1
-        assert self.ev.evaluate({"$add": ["$missing", 1]}, self.doc) is None
+        assert compile_expr({"$add": ["$a", 2]})(self.doc) == 5
+        assert compile_expr({"$multiply": ["$a", "$a"]})(self.doc) == 9
+        assert compile_expr({"$mod": ["$a", 2]})(self.doc) == 1
+        assert compile_expr({"$add": ["$missing", 1]})(self.doc) is None
 
     def test_string_operators(self):
-        assert self.ev.evaluate({"$toUpper": "$b"}, self.doc) == "X"
-        assert self.ev.evaluate({"$concat": ["$b", "!"]}, self.doc) == "x!"
+        assert compile_expr({"$toUpper": "$b"})(self.doc) == "X"
+        assert compile_expr({"$concat": ["$b", "!"]})(self.doc) == "x!"
 
     def test_conversions(self):
-        assert self.ev.evaluate({"$toInt": "3.9"}, self.doc) == 3
-        assert self.ev.evaluate({"$toString": "$a"}, self.doc) == "3"
+        assert compile_expr({"$toInt": "3.9"})(self.doc) == 3
+        assert compile_expr({"$toString": "$a"})(self.doc) == "3"
 
     def test_if_null(self):
-        assert self.ev.evaluate({"$ifNull": ["$missing", 9]}, self.doc) == 9
-        assert self.ev.evaluate({"$ifNull": ["$a", 9]}, self.doc) == 3
+        assert compile_expr({"$ifNull": ["$missing", 9]})(self.doc) == 9
+        assert compile_expr({"$ifNull": ["$a", 9]})(self.doc) == 3
 
     def test_unknown_operator(self):
         with pytest.raises(ExecutionError):
-            self.ev.evaluate({"$frobnicate": 1}, self.doc)
+            compile_expr({"$frobnicate": 1})(self.doc)
 
 
 class TestPipelineStages:
@@ -263,6 +262,172 @@ class TestPipelineOptimizer:
             {"$count": "c"},
         ])
         assert result.records == [{"c": 30}]
+        assert result.stats.full_scans == 1
+
+
+_SEMANTICS_DOC = {"a": 3, "n": None, "s": "x", "nested": {"c": 7}}
+
+
+class TestCompiledSemantics:
+    """Table-driven pins for the compiled evaluator's edge semantics."""
+
+    @pytest.mark.parametrize(
+        "expr, expected",
+        [
+            # MISSING and NULL operands.
+            ({"$add": ["$a", "$missing"]}, None),
+            ({"$multiply": ["$n", 2]}, None),
+            ({"$subtract": [10, "$a", 2]}, 5),
+            ({"$concat": ["$s", "$n"]}, None),
+            ({"$toUpper": "$missing"}, ""),
+            ({"$toString": "$n"}, None),
+            ({"$ifNull": ["$n", "$a"]}, 3),
+            ({"$eq": ["$missing", None]}, False),
+            ({"$lt": ["$missing", None]}, True),
+            ({"$lt": ["$n", None]}, False),
+            ({"$gt": ["$s", 1000]}, True),  # strings sort above numbers
+            ({"$gte": [True, 0]}, False),  # booleans sort below numbers
+            ({"$eq": ["$a", 3.0]}, True),
+            # Logic: MISSING and NULL are false.
+            ({"$and": ["$a", "$missing"]}, False),
+            ({"$or": ["$n", "$missing"]}, False),
+            ({"$or": ["$n", "$s"]}, True),
+            ({"$not": ["$missing"]}, True),
+            # $in against constant and computed arrays.
+            ({"$in": ["$a", [1, 2, 3]]}, True),
+            ({"$in": ["$missing", [None]]}, False),
+            ({"$in": ["$nested.c", ["$a", 7]]}, True),
+            # Constant operators fold to the same answers.
+            ({"$add": [1, 2]}, 3),
+            ({"$cond": [{"$gt": [2, 1]}, "yes", "no"]}, "yes"),
+            ({"$literal": "$a"}, "$a"),
+        ],
+    )
+    def test_values(self, expr, expected):
+        assert compile_expr(expr)(_SEMANTICS_DOC) == expected
+
+    def test_logic_short_circuits(self):
+        # The undefined variable is never evaluated.
+        assert compile_expr({"$and": [False, "$$undefined"]})(_SEMANTICS_DOC) is False
+        assert compile_expr({"$or": [True, "$$undefined"]})(_SEMANTICS_DOC) is True
+
+    def test_cond_is_lazy(self):
+        taken = compile_expr({"$cond": [{"$eq": ["$a", 3]}, "$s", "$$undefined"]})
+        assert taken(_SEMANTICS_DOC) == "x"
+        other = compile_expr({"$cond": ["$missing", "$$undefined", "$a"]})
+        assert other(_SEMANTICS_DOC) == 3
+
+    def test_division_by_zero_raises(self):
+        divide = compile_expr({"$divide": ["$a", 0]})
+        with pytest.raises(ZeroDivisionError):
+            divide(_SEMANTICS_DOC)
+        with pytest.raises(ZeroDivisionError):
+            compile_expr({"$divide": [1, 0]})(_SEMANTICS_DOC)
+
+    @pytest.mark.parametrize(
+        "expr, error",
+        [
+            ({"$in": ["$a", "$s"]}, "requires an array"),
+            ({"$in": ["$a", 5]}, "requires an array"),
+            ("$$undefined", "undefined pipeline variable"),
+            ({"$frobnicate": 1}, "unknown aggregation operator"),
+            ({"$eq": ["$a"]}, "two-element array"),
+            ({"$cond": {"if": True}}, "if, then, else"),
+        ],
+    )
+    def test_errors_surface_when_evaluated(self, expr, error):
+        compiled = compile_expr(expr)  # compiling never raises
+        with pytest.raises(ExecutionError, match=error):
+            compiled(_SEMANTICS_DOC)
+
+    def test_bad_operator_over_empty_input_is_empty(self, db):
+        db.create_collection("empty")
+        bad = [
+            {"$match": {"$expr": {"$frobnicate": ["$n", 1]}}},
+            {"$project": {"x": {"$in": ["$n", "$$nope"]}}},
+        ]
+        assert db.aggregate("empty", bad).records == []
+        with pytest.raises(ExecutionError):
+            db.aggregate("users", bad)
+
+    def test_expressions_compile_once_per_query(self, db, monkeypatch):
+        calls = []
+        real = pipeline_module.compile_expr
+
+        def counting(expr, scope=None):
+            calls.append(expr)
+            return real(expr, scope)
+
+        monkeypatch.setattr(pipeline_module, "compile_expr", counting)
+        pipeline = [
+            {"$match": {"$expr": {"$gt": ["$n", 10]}}},
+            {"$addFields": {"twice": {"$multiply": ["$n", 2]}}},
+            {"$group": {"_id": {"mod": "$mod"}, "top": {"$max": "$twice"}}},
+        ]
+        small = MongoDatabase(query_prep_overhead=0.0)
+        small.create_collection("users")
+        small.collection("users").insert_many([{"n": i, "mod": i % 5} for i in range(20)])
+        small.aggregate("users", pipeline)
+        compiled_small = len(calls)
+        calls.clear()
+        result = db.aggregate("users", pipeline)  # 300 documents
+        assert len(calls) == compiled_small == 4
+        assert sorted(doc["top"] for doc in result.records) == [590, 592, 594, 596, 598]
+
+
+class TestRangeProbe:
+    """A $match $expr range on an indexed field is served by the index."""
+
+    def test_expression_11_shape_uses_the_index(self, db):
+        result = db.aggregate("users", [
+            {"$match": {}},
+            {"$match": {"$expr": {"$and": [
+                {"$gte": ["$n", 38]}, {"$lte": ["$n", 47]},
+            ]}}},
+            {"$count": "count"},
+        ])
+        assert result.records == [{"count": 10}]
+        assert result.stats.full_scans == 0
+        assert result.stats.heap_fetches == 10
+
+    def test_lone_lower_bound_uses_the_index(self, db):
+        result = db.aggregate("users", [
+            {"$match": {"$expr": {"$gt": ["$n", 295]}}},
+            {"$project": {"n": 1, "_id": 0}},
+        ])
+        assert result.records == [{"n": 296}, {"n": 297}, {"n": 298}, {"n": 299}]
+        assert result.stats.full_scans == 0
+
+    def test_residual_rechecks_the_whole_stage(self, db):
+        result = db.aggregate("users", [
+            {"$match": {"$expr": {"$and": [
+                {"$gte": ["$n", 100]}, {"$eq": ["$lang", "en"]}, {"$lt": ["$n", 110]},
+            ]}}},
+            {"$count": "count"},
+        ])
+        assert result.records == [{"count": 5}]
+        assert result.stats.full_scans == 0
+
+    def test_lone_upper_bound_full_scans(self, db):
+        # Missing and null fields are not indexed, and an upper bound
+        # alone would have to return them.
+        db.collection("users").create_index("score")
+        result = db.aggregate("users", [
+            {"$match": {"$expr": {"$lte": ["$score", 1]}}},
+            {"$count": "count"},
+        ])
+        missing = 30
+        low_scores = sum(1 for i in range(300) if i % 10 != 0 and i % 7 <= 1)
+        assert result.records == [{"count": missing + low_scores}]
+        assert result.stats.full_scans == 1
+
+    def test_null_lower_bound_full_scans(self, db):
+        db.collection("users").create_index("score")
+        result = db.aggregate("users", [
+            {"$match": {"$expr": {"$gte": ["$score", None]}}},
+            {"$count": "count"},
+        ])
+        assert result.records == [{"count": 270}]
         assert result.stats.full_scans == 1
 
 

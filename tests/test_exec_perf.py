@@ -35,15 +35,22 @@ N_ROWS = 10_000
 
 
 class CountingEvaluator(Evaluator):
-    """An evaluator that counts every expression evaluation."""
+    """An evaluator that counts compilations and compiled-expression calls."""
 
     def __init__(self) -> None:
         super().__init__("sql")
         self.calls = 0
+        self.compiles = 0
 
-    def evaluate(self, expr: Any, env: Any) -> Any:
-        self.calls += 1
-        return super().evaluate(expr, env)
+    def compile(self, expr: Any, aggregates: Any = None) -> Any:
+        self.compiles += 1
+        compiled = super().compile(expr, aggregates)
+
+        def counted(env: Any) -> Any:
+            self.calls += 1
+            return compiled(env)
+
+        return counted
 
 
 class StubSource(PhysicalPlan):
@@ -80,6 +87,7 @@ def test_sort_evaluates_each_key_once_per_row():
     out = list(op.execute(_ctx(evaluator)))
     assert len(out) == N_ROWS
     assert evaluator.calls == N_ROWS * 2  # one per (row, key), not per pass
+    assert evaluator.compiles == 2  # one per key, not per row
     assert out[0]["t"]["a"] == max(row["t"]["a"] for row in _env_rows(N_ROWS))
 
 
@@ -89,6 +97,7 @@ def test_topk_evaluates_each_key_once_per_row():
     out = list(op.execute(_ctx(evaluator)))
     assert len(out) == 5
     assert evaluator.calls == N_ROWS * 2
+    assert evaluator.compiles == 2
 
 
 def test_record_sort_evaluates_each_key_once_per_row():
@@ -98,6 +107,7 @@ def test_record_sort_evaluates_each_key_once_per_row():
     out = list(op.execute(_ctx(evaluator)))
     assert len(out) == N_ROWS
     assert evaluator.calls == N_ROWS * 2
+    assert evaluator.compiles == 2
 
 
 def test_sort_is_stable_and_matches_reference():

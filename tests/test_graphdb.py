@@ -8,8 +8,20 @@ from hypothesis import strategies as st
 
 from repro.errors import CatalogError, ExecutionError, ParseError
 from repro.graphdb import Neo4jDatabase
+from repro.graphdb import executor as executor_module
 from repro.graphdb.cypher_parser import parse
-from repro.graphdb.cypher_ast import Bin, Func, MapProjection, Prop, WithClause
+from repro.graphdb.cypher_ast import (
+    Bin,
+    Func,
+    IsNull,
+    Lit,
+    MapProjection,
+    Prop,
+    Un,
+    Var,
+    WithClause,
+)
+from repro.graphdb.executor import compile_expr
 from repro.graphdb.store import GraphStore
 from repro.storage.keys import SENTINEL_MISSING
 
@@ -247,6 +259,101 @@ class TestCypherExecution:
     def test_unbound_variable(self, db):
         with pytest.raises(ExecutionError):
             db.execute("MATCH(t: users)\nRETURN z\nLIMIT 1")
+
+
+_ROW = {"t": {"a": 3, "n": None, "s": "x"}}
+T, F, N = Lit(True), Lit(False), Lit(None)
+
+
+class TestCompiledSemantics:
+    """Table-driven pins for the compiled Cypher evaluator's edge semantics."""
+
+    @pytest.mark.parametrize(
+        "expr, expected",
+        [
+            # Kleene AND / OR with null.
+            (Bin("AND", F, N), False),
+            (Bin("AND", N, T), None),
+            (Bin("AND", T, T), True),
+            (Bin("OR", T, N), True),
+            (Bin("OR", N, F), None),
+            (Bin("OR", F, F), False),
+            (Un("NOT", N), None),
+            (Un("NOT", Prop("t", "a")), False),
+            # Null operands propagate; absent properties read as null.
+            (Bin("=", Prop("t", "n"), Lit(1)), None),
+            (Bin("=", Prop("t", "zzz"), N), None),
+            (Bin("+", Prop("t", "a"), Prop("t", "n")), None),
+            (Bin(">", Prop("t", "n"), Lit(1)), None),
+            (IsNull(Prop("t", "zzz")), True),
+            (IsNull(Prop("t", "a"), negated=True), True),
+            # Ordering follows index keys: strings above numbers.
+            (Bin(">", Prop("t", "s"), Lit(1000)), True),
+            (Bin("<=", Prop("t", "a"), Lit(3.0)), True),
+            # Division by zero and type errors in arithmetic are null.
+            (Bin("/", Prop("t", "a"), Lit(0)), None),
+            (Bin("%", Lit(1), Lit(0)), None),
+            (Bin("-", Prop("t", "s"), Lit(1)), None),
+            (Func("upper", (Prop("t", "s"),)), "X"),
+            (Func("tostring", (N,)), None),
+        ],
+    )
+    def test_values(self, expr, expected):
+        assert compile_expr(expr)(_ROW) == expected
+
+    @pytest.mark.parametrize(
+        "expr, error",
+        [
+            (Func("frobnicate", (Prop("t", "a"),)), "unknown function"),
+            (Func("max", (Prop("t", "a"),)), "outside aggregation context"),
+            (Var("zzz"), "unbound variable"),
+            (Bin("^", Lit(1), Lit(2)), "unknown operator"),
+        ],
+    )
+    def test_errors_surface_when_evaluated(self, expr, error):
+        compiled = compile_expr(expr)  # compiling never raises
+        with pytest.raises(ExecutionError, match=error):
+            compiled(_ROW)
+
+    def test_and_or_evaluate_both_sides(self, db):
+        # The string property is read for every row even where the numeric
+        # side already decides the conjunction.
+        result = db.execute(
+            "MATCH(t: users)\nWITH t WHERE t.flag = false AND t.name = 'user1'\n"
+            "RETURN COUNT(*) AS c"
+        )
+        assert result.records == [1]
+        assert result.stats.string_store_reads == 300
+
+    def test_unknown_function_over_empty_input_is_empty(self, db):
+        query = "MATCH(t: {label})\nWITH t{{'x': frobnicate(t.n)}}\nRETURN t"
+        assert db.execute(query.format(label="nobody")).records == []
+        with pytest.raises(ExecutionError, match="unknown function"):
+            db.execute(query.format(label="users"))
+
+    def test_expressions_compile_once_per_query(self, db, monkeypatch):
+        calls = []
+        real = executor_module.compile_expr
+
+        def counting(expr, aggregates=None):
+            calls.append(expr)
+            return real(expr, aggregates)
+
+        monkeypatch.setattr(executor_module, "compile_expr", counting)
+        query = (
+            "MATCH(t: users)\nWITH t WHERE t.n % 2 = 0\n"
+            "WITH {'mod': t.mod, 'top': max(t.n)} AS t\nRETURN t"
+        )
+        small = Neo4jDatabase(query_prep_overhead=0.0)
+        small.load("users", [{"n": i, "mod": i % 5} for i in range(20)])
+        small.execute(query)
+        compiled_small = len(calls)
+        calls.clear()
+        result = db.execute(query)  # 300 nodes
+        # One call per expression node of the WHERE, the group key, the
+        # max() argument, the map output and RETURN t — none per row.
+        assert len(calls) == compiled_small == 11
+        assert sorted(record["top"] for record in result.records) == [290, 292, 294, 296, 298]
 
 
 @settings(max_examples=25, deadline=None)

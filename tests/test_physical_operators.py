@@ -17,7 +17,7 @@ from repro.sqlengine.physical import (
     TopKOp,
     make_accumulator,
 )
-from repro.sqlengine.result import QueryStats, ResultSet
+from repro.sqlengine.result import QueryStats, ResultSet, StreamingResultSet
 from repro.storage.catalog import Catalog
 
 
@@ -153,6 +153,27 @@ class TestResultSet:
             {"value": 1},
             {"a": 2},
         ]
+
+    def test_drain_after_partial_materialize_matches_collect(self):
+        records = [{"i": i} for i in range(3000)]
+        collected = StreamingResultSet(iter(records)).records
+        # Half the records already buffered, the rest still streaming.
+        result = StreamingResultSet(iter(records[1500:]), records=records[:1500])
+        iterator = result.iter_records()
+        head = [next(iterator) for _ in range(10)]
+        iterator.close()  # an abandoned drain leaves the rest behind
+        assert result.streaming
+        rest = list(result.iter_records())
+        assert head + rest == collected
+        assert not result.streaming
+        assert result.records == []  # one-shot: drained records are gone
+
+    def test_drain_of_fully_materialized_stream_matches_collect(self):
+        records = [{"i": i} for i in range(3000)]
+        result = StreamingResultSet(iter(records))
+        assert len(result.records) == 3000  # materializes the whole stream
+        assert list(result) == records
+        assert result.records == []
 
     def test_stats_merge(self):
         first = QueryStats(heap_fetches=1, index_entries=2, full_scans=1)

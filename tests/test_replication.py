@@ -23,6 +23,7 @@ from repro.cluster.base import (
 )
 from repro.cluster.replica import (
     DOWN,
+    MIN_ADAPTIVE_HEDGE_SECONDS,
     SUSPECT,
     UP,
     HedgePolicy,
@@ -245,6 +246,18 @@ class TestHedgePolicy:
         assert policy.threshold_for(health) is None  # cold estimate: no hedging
         health.record_success(0.1)
         assert policy.threshold_for(health) == pytest.approx(0.3)
+
+    def test_tiny_ewma_yields_the_floor(self):
+        # Sub-millisecond shards: 3 x EWMA would sit below scheduler jitter.
+        policy = HedgePolicy(latency_multiplier=3.0, min_samples=3)
+        health = NodeHealth(0, alpha=1.0)
+        for _ in range(3):
+            health.record_success(0.0002)
+        assert policy.threshold_for(health) == MIN_ADAPTIVE_HEDGE_SECONDS
+
+    def test_floor_leaves_fixed_thresholds_alone(self):
+        fixed = MIN_ADAPTIVE_HEDGE_SECONDS / 5
+        assert HedgePolicy(threshold_seconds=fixed).threshold_for(NodeHealth(0)) == fixed
 
     def test_validation(self):
         with pytest.raises(ReproError):
@@ -479,6 +492,19 @@ class TestHedging:
         assert metrics.counter_value("hedges_total") > before_hedges
         assert metrics.counter_value("hedge_wins_total") > before_wins
         # Shard 2's slow primary lost the race to its backup on node 3.
+        assert result.served_by[2] == 3
+
+    def test_adaptive_policy_hedges_a_slow_node_above_the_floor(self):
+        injector = FaultInjector(sleep=no_sleep)
+        cluster = make_cluster(injector, hedge=HedgePolicy())
+        # Uncached: under the CI cache matrix a repeated query would be
+        # served from the cache and never reach the slow node.
+        cluster.result_cache = None
+        for _ in range(3):  # warm every node's latency estimate
+            cluster.execute(COUNT_QUERY)
+        injector.slow_node(2, 0.5)
+        result = cluster.execute(COUNT_QUERY)
+        assert result.stats.hedges >= 1
         assert result.served_by[2] == 3
 
     def test_hedge_spans_carry_the_winner(self):
