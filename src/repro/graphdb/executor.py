@@ -600,20 +600,31 @@ def _compile_bin(expr: Bin, aggregates: dict[int, Any] | None) -> Compiled:
     op = expr.op
     left = compile_expr(expr.left, aggregates)
     right = compile_expr(expr.right, aggregates)
-    if op in ("AND", "OR"):
-        # Kleene logic; both sides are always evaluated.
-        decisive, other = (False, True) if op == "AND" else (True, False)
+    # Kleene AND/OR; both sides are always evaluated.
+    if op == "AND":
 
-        def logical(row: Row) -> Any:
+        def conjunction(row: Row) -> Any:
             a = left(row)
             b = right(row)
-            if a is decisive or b is decisive:
-                return decisive
+            if a is False or b is False:
+                return False
             if a is None or b is None:
                 return None
-            return bool(a) and bool(b) if op == "AND" else bool(a) or bool(b)
+            return bool(a) and bool(b)
 
-        return logical
+        return conjunction
+    if op == "OR":
+
+        def disjunction(row: Row) -> Any:
+            a = left(row)
+            b = right(row)
+            if a is True or b is True:
+                return True
+            if a is None or b is None:
+                return None
+            return bool(a) or bool(b)
+
+        return disjunction
     compare = _KEY_COMPARISONS.get(op)
     if compare is not None:
         return _compile_comparison(compare, left, right, expr.right)
@@ -621,7 +632,9 @@ def _compile_bin(expr: Bin, aggregates: dict[int, Any] | None) -> Compiled:
     if apply is None:
 
         def unknown(row: Row) -> Any:
-            if left(row) is None or right(row) is None:
+            a = left(row)
+            b = right(row)
+            if a is None or b is None:
                 return None
             raise ExecutionError(f"unknown operator {op!r}")
 
