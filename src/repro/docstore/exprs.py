@@ -306,11 +306,17 @@ def _unary(convert: Callable[[Any], Any], if_absent: Any):
     return build
 
 
+def _item(operand: Any, index: int, scope: Mapping[str, Any]) -> tuple[Compiled, Any]:
+    """``operand[index]`` compiled; a missing item raises when it is reached."""
+    try:
+        item = operand[index]
+    except (IndexError, KeyError, TypeError):
+        return (lambda doc: operand[index]), _NOT_CONST
+    return _compile(item, scope)
+
+
 def _build_if_null(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
-    (first, first_const), (second, second_const) = (
-        _compile(operand[0], scope),
-        _compile(operand[1], scope),
-    )
+    (first, first_const), (second, second_const) = _item(operand, 0, scope), _item(operand, 1, scope)
 
     def if_null(doc: Any) -> Any:
         value = first(doc)
@@ -332,10 +338,7 @@ def _build_concat(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Comp
 
 
 def _build_in(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
-    (needle, needle_const), (haystack, haystack_const) = (
-        _compile(operand[0], scope),
-        _compile(operand[1], scope),
-    )
+    (needle, needle_const), (haystack, haystack_const) = _item(operand, 0, scope), _item(operand, 1, scope)
     member_keys = None
     if isinstance(haystack_const, list):
         try:
