@@ -30,9 +30,8 @@ from repro.storage.keys import SAME_RANK_TYPES, SENTINEL_MISSING, index_key
 #: A compiled expression: document in, value out.
 Compiled = Callable[[Any], Any]
 
-_NOT_CONST = object()
 #: What :func:`constant_value` returns for a document-dependent expression.
-NOT_CONSTANT = _NOT_CONST
+NOT_CONSTANT = object()
 
 
 def get_path(document: Mapping[str, Any], path: str) -> Any:
@@ -92,7 +91,7 @@ class FieldRef:
 
 # ----------------------------------------------------------------------
 # The compiler.  Every node compiles to ``(closure, const)``; ``const`` is
-# the node's value when it is the same for every document, else _NOT_CONST.
+# the node's value when it is the same for every document, else NOT_CONSTANT.
 # ----------------------------------------------------------------------
 
 
@@ -103,9 +102,9 @@ def _constant(value: Any) -> tuple[Compiled, Any]:
 def _compile(expr: Any, scope: Mapping[str, Any]) -> tuple[Compiled, Any]:
     if isinstance(expr, str):
         if expr.startswith("$$"):
-            return _variable(expr, scope), _NOT_CONST
+            return _variable(expr, scope), NOT_CONSTANT
         if expr.startswith("$"):
-            return compile_field(expr[1:]), _NOT_CONST
+            return compile_field(expr[1:]), NOT_CONSTANT
         return _constant(expr)
     if isinstance(expr, dict):
         if len(expr) == 1:
@@ -119,18 +118,18 @@ def _compile(expr: Any, scope: Mapping[str, Any]) -> tuple[Compiled, Any]:
         def document(doc: Any) -> dict[str, Any]:
             return {key: fn(doc) for key, fn in pairs}
 
-        if all(const is not _NOT_CONST for _key, (_fn, const) in members):
+        if all(const is not NOT_CONSTANT for _key, (_fn, const) in members):
             return document, document(None)
-        return document, _NOT_CONST
+        return document, NOT_CONSTANT
     if isinstance(expr, list):
         fns, consts = _compile_all(expr, scope)
 
         def array(doc: Any) -> list[Any]:
             return [fn(doc) for fn in fns]
 
-        return array, (array(None) if consts else _NOT_CONST)
+        return array, (array(None) if consts else NOT_CONSTANT)
     if isinstance(expr, FieldRef):
-        return compile_field(expr.path), _NOT_CONST
+        return compile_field(expr.path), NOT_CONSTANT
     return _constant(expr)  # numeric / boolean / None literal
 
 
@@ -138,7 +137,7 @@ def _compile_all(items: Any, scope: Mapping[str, Any]) -> tuple[list[Compiled], 
     """Compile a sequence of operands; the flag says all are constant."""
     compiled = [_compile(item, scope) for item in items]
     return [fn for fn, _const in compiled], all(
-        const is not _NOT_CONST for _fn, const in compiled
+        const is not NOT_CONSTANT for _fn, const in compiled
     )
 
 
@@ -166,22 +165,22 @@ def _compile_operator(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[
         def unknown(doc: Any) -> Any:
             raise ExecutionError(f"unknown aggregation operator {op!r}")
 
-        return unknown, _NOT_CONST
+        return unknown, NOT_CONSTANT
     try:
         fn, foldable = builder(op, operand, scope)
     except Exception:
-        # A malformed operand raises where the interpreter raised: when
-        # the operator is evaluated, not when the pipeline is compiled.
+        # A malformed operand raises when the operator is evaluated, not
+        # when the pipeline is compiled.
         def malformed(doc: Any) -> Any:
             return builder(op, operand, scope)[0](doc)
 
-        return malformed, _NOT_CONST
+        return malformed, NOT_CONSTANT
     if not foldable:
-        return fn, _NOT_CONST
+        return fn, NOT_CONSTANT
     try:
         value = fn(None)
     except Exception:
-        return fn, _NOT_CONST  # e.g. {"$divide": [1, 0]} raises per document
+        return fn, NOT_CONSTANT  # e.g. {"$divide": [1, 0]} raises per document
     if isinstance(value, (dict, list)):
         return fn, value  # containers stay fresh per document
     return _constant(value)
@@ -210,7 +209,7 @@ def _build_comparison(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[
 
         return malformed, False
     (left, left_const), (right, right_const) = (_compile(item, scope) for item in operand)
-    rank = SAME_RANK_TYPES.get(right_const.__class__) if right_const is not _NOT_CONST else None
+    rank = SAME_RANK_TYPES.get(right_const.__class__) if right_const is not NOT_CONSTANT else None
     if rank is not None and right_const == right_const:  # not NaN
         constant, constant_key = right_const, index_key(right_const)
 
@@ -220,7 +219,7 @@ def _build_comparison(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[
                 return compare(value, constant)
             return compare(index_key(value), constant_key)
 
-        return against_constant, left_const is not _NOT_CONST
+        return against_constant, left_const is not NOT_CONSTANT
 
     def comparison(doc: Any) -> bool:
         a = left(doc)
@@ -231,7 +230,7 @@ def _build_comparison(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[
             return compare(a, b)
         return compare(index_key(a), index_key(b))
 
-    return comparison, left_const is not _NOT_CONST and right_const is not _NOT_CONST
+    return comparison, left_const is not NOT_CONSTANT and right_const is not NOT_CONSTANT
 
 
 def _build_and(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
@@ -263,7 +262,7 @@ def _build_or(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled
 
 def _build_not(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
     inner, const = _compile(operand[0] if isinstance(operand, list) else operand, scope)
-    return (lambda doc: not inner(doc)), const is not _NOT_CONST
+    return (lambda doc: not inner(doc)), const is not NOT_CONSTANT
 
 
 def _build_arithmetic(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
@@ -301,7 +300,7 @@ def _unary(convert: Callable[[Any], Any], if_absent: Any):
             value = inner(doc)
             return if_absent if _absent(value) else convert(value)
 
-        return unary, const is not _NOT_CONST
+        return unary, const is not NOT_CONSTANT
 
     return build
 
@@ -311,7 +310,7 @@ def _item(operand: Any, index: int, scope: Mapping[str, Any]) -> tuple[Compiled,
     try:
         item = operand[index]
     except (IndexError, KeyError, TypeError):
-        return (lambda doc: operand[index]), _NOT_CONST
+        return (lambda doc: operand[index]), NOT_CONSTANT
     return _compile(item, scope)
 
 
@@ -322,7 +321,7 @@ def _build_if_null(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Com
         value = first(doc)
         return second(doc) if _absent(value) else value
 
-    return if_null, first_const is not _NOT_CONST and second_const is not _NOT_CONST
+    return if_null, first_const is not NOT_CONSTANT and second_const is not NOT_CONSTANT
 
 
 def _build_concat(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
@@ -356,7 +355,7 @@ def _build_in(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled
         target = index_key(value)
         return any(index_key(member) == target for member in members)
 
-    return contains, needle_const is not _NOT_CONST and haystack_const is not _NOT_CONST
+    return contains, needle_const is not NOT_CONSTANT and haystack_const is not NOT_CONSTANT
 
 
 def _build_cond(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
@@ -385,7 +384,7 @@ def _build_is_number(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[C
         # Booleans are not BSON numbers.
         return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    return is_number, const is not _NOT_CONST
+    return is_number, const is not NOT_CONSTANT
 
 
 def _build_literal(op: str, operand: Any, scope: Mapping[str, Any]) -> tuple[Compiled, bool]:
